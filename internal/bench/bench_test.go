@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -120,5 +121,32 @@ func TestTableRendering(t *testing.T) {
 		if !strings.Contains(md, want) {
 			t.Errorf("markdown missing %q:\n%s", want, md)
 		}
+	}
+}
+
+// TestE19MatchesExperimentsDoc keeps the published anytime curve honest: it
+// regenerates E19 (deterministic — fixed seeds, no timings) and compares it
+// with the E19 section of EXPERIMENTS.md. On failure, regenerate the
+// section with `go run ./cmd/lecbench -e E19 -format md`.
+func TestE19MatchesExperimentsDoc(t *testing.T) {
+	raw, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(raw)
+	start := strings.Index(doc, "### E19 — ")
+	if start < 0 {
+		t.Fatal("EXPERIMENTS.md has no E19 section")
+	}
+	section := doc[start:]
+	if end := strings.Index(section[1:], "\n### "); end >= 0 {
+		section = section[:end+1]
+	}
+	tab, err := E19AnytimeCurve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.TrimSpace(section), strings.TrimSpace(tab.Markdown()); got != want {
+		t.Errorf("EXPERIMENTS.md E19 section is stale.\n--- checked in:\n%s\n--- regenerated:\n%s", got, want)
 	}
 }

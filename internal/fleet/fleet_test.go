@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -9,6 +11,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/serve"
+	"repro/internal/stats"
 	"repro/internal/workload"
 	"repro/lec"
 )
@@ -499,5 +502,61 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if key2 != key {
 		t.Fatalf("request key changed across the wire:\n  sent     %q\n  received %q", key, key2)
+	}
+}
+
+// TestForwardedRequestKeepsCacheKey: a memory distribution whose normalized
+// probabilities do not survive a second normalization bit-exactly
+// (1/6, 4/6, 1/6) must still canonicalize to the same key after a JSON hop
+// — otherwise the owner files a forwarded request under a second key and
+// runs the DP again. Malformed wire distributions are still rejected.
+func TestForwardedRequestKeepsCacheKey(t *testing.T) {
+	catA, q, _ := workload.Example11()
+	catB, _, _ := workload.Example11()
+	svcA := serve.New(catA, serve.Config{})
+	svcB := serve.New(catB, serve.Config{})
+	dm, err := stats.ParseDist("500:1,1000:4,2000:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	local := serve.Request{SQL: q.String(), Env: lec.Environment{Memory: dm}, Strategy: lec.AlgorithmC}
+	bound, key, err := svcA.Canonicalize(local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wreq, err := newLookupRequest(key, bound, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(wreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got LookupRequest
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	forwarded, err := got.toServe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, fkey, err := svcB.Canonicalize(forwarded); err != nil {
+		t.Fatal(err)
+	} else if fkey != key {
+		t.Fatalf("forwarded request key differs from the local one:\n  local     %q\n  forwarded %q", key, fkey)
+	}
+
+	for _, bad := range []struct{ vals, probs []float64 }{
+		{[]float64{1000, 500}, []float64{0.5, 0.5}},
+		{[]float64{500, 500}, []float64{0.5, 0.5}},
+		{[]float64{500, 1000}, []float64{0.5, 0.6}},
+		{[]float64{0, 1000}, []float64{0.5, 0.5}},
+		{[]float64{500, 1000}, []float64{1, 0}},
+		{[]float64{500, math.Inf(1)}, []float64{0.5, 0.5}},
+	} {
+		w := LookupRequest{SQL: got.SQL, MemVals: bad.vals, MemProbs: bad.probs}
+		if _, err := w.toServe(); err == nil {
+			t.Errorf("wire distribution %v/%v accepted", bad.vals, bad.probs)
+		}
 	}
 }

@@ -210,7 +210,13 @@ func (r *LookupRequest) toServe() (serve.Request, error) {
 		SelectionSels: r.SelSels,
 	}
 	if len(r.MemVals) > 0 {
-		m, err := stats.New(r.MemVals, r.MemProbs)
+		// Decode losslessly: re-normalizing already-normalized probabilities
+		// can move their last bits, which would file the forwarded request
+		// under a different cache key than the sender's.
+		m, err := stats.FromNormalized(r.MemVals, r.MemProbs)
+		if err == nil && m.Min() <= 0 {
+			err = fmt.Errorf("memory value %v is not positive", m.Min())
+		}
 		if err != nil {
 			return out, fmt.Errorf("fleet: bad memory distribution on the wire: %w", err)
 		}

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"context"
+	"errors"
 	"math"
 	"sort"
 	"testing"
@@ -110,8 +112,18 @@ func TestAlgorithmAIsNotExact(t *testing.T) {
 }
 
 // TestTopCPlansMatchExhaustive validates the top-c DP lists against a full
-// enumeration sorted by cost.
+// enumeration sorted by cost, and that an interrupted top-c search reports
+// its stop cause instead of an empty, error-free answer.
 func TestTopCPlansMatchExhaustive(t *testing.T) {
+	cat, q := randInstance(t, 0, 4, workload.Chain, true)
+	plans, costs, _, err := TopCPlans(cat, q, Options{Budget: Budget{MaxCostEvals: 1}}, 400, 4)
+	if !errors.Is(err, ErrBudgetExhausted) {
+		t.Errorf("1-eval budget: err = %v, want ErrBudgetExhausted", err)
+	}
+	if plans != nil || costs != nil {
+		t.Errorf("1-eval budget returned %d plans alongside the error", len(plans))
+	}
+
 	for seed := int64(0); seed < 8; seed++ {
 		cat, q := randInstance(t, seed, 4, workload.Chain, seed%2 == 0)
 		mem := []float64{30, 400, 3000}[seed%3]
@@ -202,7 +214,7 @@ func TestAlgorithmBWithLargeCAchievesLEC(t *testing.T) {
 func TestAlgorithmBCandidatesCoverA(t *testing.T) {
 	cat, q := randInstance(t, 9, 4, workload.Star, false)
 	dm := randMemDist3(17)
-	bCands, _, err := AlgorithmBCandidates(cat, q, Options{TopC: 3}, dm)
+	bCands, _, _, _, err := algorithmBCandidatesCtx(context.Background(), cat, q, Options{TopC: 3}, dm)
 	if err != nil {
 		t.Fatal(err)
 	}

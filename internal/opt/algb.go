@@ -155,15 +155,6 @@ func AlgorithmB(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist
 	return AlgorithmBCtx(context.Background(), cat, q, opts, dm)
 }
 
-// AlgorithmBCandidates returns the deduplicated union of the top-c plans
-// across all b bucket representatives (up to c·b plans). All b searches
-// run on one engine session, so the memo tables, plan arena, and top-c
-// scratch are shared instead of rebuilt per bucket.
-func AlgorithmBCandidates(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) ([]plan.Node, Counters, error) {
-	cands, counters, _, _, err := algorithmBCandidatesCtx(context.Background(), cat, q, opts, dm)
-	return cands, counters, err
-}
-
 // TopCPlans exposes the top-c plans at a single fixed memory value,
 // ascending by cost — used by tests to check Proposition 3.1 and the
 // correctness of the top-c lists against exhaustive enumeration.
@@ -173,7 +164,7 @@ func TopCPlans(cat *catalog.Catalog, q *query.SPJ, opts Options, mem float64, c 
 		return nil, nil, Counters{}, err
 	}
 	plans, costs, err := eng.OptimizeTop(c)
-	return plans, costs, eng.Stats(), nil
+	return plans, costs, eng.Stats(), err
 }
 
 // MergeBound returns the Proposition 3.1 upper bound c + c·ln c on the

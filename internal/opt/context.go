@@ -21,8 +21,8 @@
 //     across independent phases).
 //
 // The historical entry points — SystemR, AlgorithmA/B/C/CDynamic/D,
-// BushySystemR, BushyAlgorithmC, ExpUtilityDP, ExhaustivePipelined — are
-// thin wrappers over the engine and remain the convenient way to request a
+// BushyAlgorithmC, ExpUtilityDP, ExhaustivePipelined — are thin wrappers
+// over the engine and remain the convenient way to request a
 // known configuration. The Exhaustive* functions are deliberately *not*
 // built on the engine: they are independent brute-force oracles used to
 // verify it.

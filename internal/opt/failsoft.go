@@ -11,6 +11,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/plan"
 	"repro/internal/query"
+	"repro/internal/stats"
 )
 
 // This file is the engine's fail-soft layer. The paper's whole premise is
@@ -21,10 +22,10 @@ import (
 //     honor a context.Context deadline and a work Budget metered by the
 //     session's own instrumentation counters;
 //   - the search is *anytime*: on interruption the engine degrades down a
-//     ladder — best complete plan found so far, then greedy completion of
-//     the deepest partial DP result, then greedy join ordering from scratch
-//     at the parameter distribution's mean — so a valid executable plan is
-//     always returned, flagged via Result.Degraded;
+//     ladder — best complete plan found so far, then the tier-0 greedy
+//     planner run from every start relation and from the partial DP
+//     results, priced in expectation like every other rung — so a valid
+//     executable plan is always returned, flagged via Result.Degraded;
 //   - cost-formula evaluations are guarded against NaN/±Inf poisoning and
 //     instrumented as fault-injection sites, and the whole primary search
 //     runs under a recover so a panicking coster degrades instead of
@@ -40,9 +41,6 @@ type Budget struct {
 	// MaxSubsets caps lattice nodes visited (Stats.Subsets).
 	MaxSubsets int
 }
-
-// Unlimited reports whether the budget imposes no bound.
-func (b Budget) Unlimited() bool { return b.MaxCostEvals <= 0 && b.MaxSubsets <= 0 }
 
 // DegradeReason says why a Result is degraded.
 type DegradeReason int
@@ -88,8 +86,8 @@ const (
 	// already finished (for the pipelined space this is a fully-scored
 	// left-deep plan; for the DPs a root candidate).
 	RungPartial = "partial-search"
-	// RungGreedy: greedy join ordering at the distribution mean, possibly
-	// seeded with the deepest partial DP result.
+	// RungGreedy: the greedy planner's cheapest completion over a seed
+	// portfolio of every start relation and the partial DP results.
 	RungGreedy = "greedy"
 )
 
@@ -432,7 +430,7 @@ func (o *Optimizer) runPrimary() (res *Result, err error) {
 }
 
 // fallbackGuarded runs the terminal ladder rung under its own recover: the
-// fallback prices steps directly with the classical cost formulas (it never
+// fallback prices steps directly with the expected-cost formulas (it never
 // re-enters the configured pricer, whose misbehavior may be why we are
 // here), but it must still never let a panic escape.
 func (o *Optimizer) fallbackGuarded() (res *Result, err error) {
@@ -445,95 +443,47 @@ func (o *Optimizer) fallbackGuarded() (res *Result, err error) {
 	return o.runGreedy()
 }
 
-// fallbackMem is the single representative memory value the greedy rung
-// prices at: the mean of the coster's (initial) distribution — exactly the
-// value the classical LSC optimizer would have assumed.
-func (o *Optimizer) fallbackMem() float64 {
-	switch c := o.cfg.Coster.(type) {
-	case FixedParams:
-		return c.Mem
-	case StaticParams:
-		return c.Mem.Mean()
-	case PhasedParams:
-		return c.Phases[0].Mean()
-	case MarkovParams:
-		return c.Initial.Mean()
-	case MultiParams:
-		return c.Mem.Mean()
-	default:
-		return 1
-	}
-}
-
-// runGreedy is the guaranteed-fallback rung: greedy join ordering at the
-// distribution mean, seeded with the deepest partial result the interrupted
-// DP left behind (the "left-deep completion" of whatever was already paid
-// for). Its work is O(n²·|methods|) — negligible next to any budget that
-// could have been exhausted — and it bypasses the configured pricer and the
-// fault-injection sites, so it succeeds even when the coster panics or
-// returns garbage.
+// runGreedy is the guaranteed-fallback rung: the tier-0 greedy planner
+// (greedyPlan), priced in expectation under the coster's phase
+// distributions, run from a small seed portfolio — every start relation
+// plus whatever the interrupted DP left behind (the "left-deep completion"
+// of what was already paid for) — keeping the cheapest completed plan.
+// Greedy completion quality depends heavily on the seed: a single opening
+// can walk into a corner of the join graph whose completion is orders of
+// magnitude off. Each completion is O(n²·|methods|·|support|), so the
+// portfolio stays negligible next to any budget that could have been
+// exhausted, and it bypasses the configured pricer and the fault-injection
+// sites, so it succeeds even when the coster panics or returns garbage. The
+// Result's Cost is the plan's expected cost, exactly what
+// plan.ExpCostPhased reports for it.
 func (o *Optimizer) runGreedy() (*Result, error) {
 	ctx := o.ctx
 	n := ctx.Q.NumRels()
 	if n == 0 {
 		return nil, fmt.Errorf("opt: empty query")
 	}
-	mem := o.fallbackMem()
-	if math.IsNaN(mem) || math.IsInf(mem, 0) || mem <= 0 {
-		mem = 1
-	}
-	if n == 1 {
-		best := ctx.BestScan(0)
-		finished, added := ctx.FinishPlan(best)
-		total := best.AccessCost()
-		if added {
-			total += cost.SortCost(best.OutPages(), mem)
-		}
-		return &Result{Plan: finished, Cost: total, Count: ctx.snapshotCount()}, nil
-	}
-	// Greedy completion quality depends heavily on the seed: a single
-	// cheapest-scan opening (or a salvage base picked by depth) can walk
-	// into a corner of the join graph whose completion is many orders of
-	// magnitude off. So the rung runs a small seed portfolio — every start
-	// relation plus whatever the interrupted DP left behind — and keeps the
-	// cheapest completed plan. Each completion is O(n²·|methods|), so the
-	// whole portfolio stays O(n³·|methods|): negligible next to any budget
-	// that could have been exhausted.
+	phases := o.tierPhaseDists()
 	seeds := make([]greedySeed, 0, n+2)
 	for i := 0; i < n; i++ {
-		s := ctx.BestScan(i)
-		seeds = append(seeds, greedySeed{s, query.NewRelSet(i), s.AccessCost()})
+		seeds = append(seeds, ctx.scanSeed(i))
 	}
-	seeds = append(seeds, o.salvageSeeds(mem)...)
-	var node plan.Node
-	total := math.Inf(1)
+	seeds = append(seeds, o.salvageSeeds(phases)...)
+	best := tierPlan{cost: math.Inf(1)}
 	var lastErr error
 	for _, sd := range seeds {
-		ext, sum, err := ctx.greedyExtend(sd.node, sd.set, mem)
+		gp, err := ctx.greedyPlan(sd, phases, 0)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		if c := sd.cost + sum; c < total {
-			node, total = ext, c
+		if gp.cost < best.cost {
+			best = gp
 		}
 	}
-	if node == nil {
+	if best.node == nil {
 		return nil, lastErr
 	}
-	finished, added := ctx.FinishPlan(node)
-	if added {
-		total += cost.SortCost(node.OutPages(), mem)
-	}
-	return &Result{Plan: finished, Cost: total, Count: ctx.snapshotCount()}, nil
-}
-
-// greedySeed is one starting point for the greedy fallback: a partial plan,
-// the relations it covers, and its cost re-priced at the fallback memory.
-type greedySeed struct {
-	node plan.Node
-	set  query.RelSet
-	cost float64
+	return &Result{Plan: best.node, Cost: best.cost, Count: ctx.snapshotCount()}, nil
 }
 
 // salvageSeeds extracts up to two greedy seeds from whatever the interrupted
@@ -542,7 +492,7 @@ type greedySeed struct {
 // table and Algorithm B's top-c lists are inspected; entries of size 1 are
 // skipped (the scratch portfolio already covers every single-relation
 // opening).
-func (o *Optimizer) salvageSeeds(mem float64) []greedySeed {
+func (o *Optimizer) salvageSeeds(phases []*stats.Dist) []greedySeed {
 	var deepest, cheapest greedySeed
 	deepestLen := 1
 	deepest.cost = math.Inf(1)
@@ -555,7 +505,7 @@ func (o *Optimizer) salvageSeeds(mem float64) []greedySeed {
 		if l < 2 {
 			return
 		}
-		c := plan.Cost(node, mem)
+		c := plan.ExpCostPhased(node, phases)
 		if math.IsNaN(c) || math.IsInf(c, 0) {
 			return
 		}
@@ -579,39 +529,4 @@ func (o *Optimizer) salvageSeeds(mem float64) []greedySeed {
 		seeds = append(seeds, cheapest)
 	}
 	return seeds
-}
-
-// greedyExtend grows a partial left-deep plan to cover every relation,
-// at each step joining in the (relation, method) pair of least specific
-// cost at mem. The cross-product policy is respected; extensionAllowed
-// guarantees at least one admissible extension whenever relations remain.
-func (ctx *Context) greedyExtend(cur plan.Node, used query.RelSet, mem float64) (plan.Node, float64, error) {
-	n := ctx.Q.NumRels()
-	total := 0.0
-	for used.Len() < n {
-		bestJ, bestM, bestC := -1, cost.Method(0), math.Inf(1)
-		for j := 0; j < n; j++ {
-			if used.Has(j) || !ctx.extensionAllowed(used, j) {
-				continue
-			}
-			scan := ctx.BestScan(j)
-			for _, m := range ctx.Opts.Methods {
-				c := scan.AccessCost() + cost.JoinCost(m, cur.OutPages(), scan.OutPages(), mem)
-				if math.IsNaN(c) {
-					continue
-				}
-				if c < bestC || bestJ < 0 {
-					bestJ, bestM, bestC = j, m, c
-				}
-			}
-		}
-		if bestJ < 0 {
-			return nil, 0, fmt.Errorf("opt: greedy fallback found no admissible extension of %v", used)
-		}
-		s := used.Add(bestJ)
-		cur = ctx.NewJoin(cur, ctx.BestScan(bestJ), bestM, s, bestJ)
-		used = s
-		total += bestC
-	}
-	return cur, total, nil
 }

@@ -375,7 +375,12 @@ func TestBudgetLadderReachesOptimum(t *testing.T) {
 }
 
 // TestGreedyFallbackDirect exercises the terminal rung in isolation: with a
-// 1-eval budget nothing completes, so the greedy plan is the answer.
+// 1-eval budget nothing completes, so the greedy plan is the answer. The
+// rung reports its plan's expected cost — exactly what re-scoring the plan
+// under the coster's phase distributions gives, not a point estimate — and,
+// because its seed portfolio contains tier 0's min-rows opening, it is never
+// costlier than the plan the pinned greedy tier serves for the same instance
+// and coster (checked over the tier property suite's random grid).
 func TestGreedyFallbackDirect(t *testing.T) {
 	cat, q, dm := engineTestInstance(t, 7202, 6)
 	res, err := AlgorithmCCtx(context.Background(), cat, q, Options{Budget: Budget{MaxCostEvals: 1}}, dm)
@@ -383,8 +388,48 @@ func TestGreedyFallbackDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkValidPlan(t, res, q, "greedy")
-	if !res.Degraded {
-		t.Error("1-eval budget did not degrade")
+	if !res.Degraded || res.Rung != RungGreedy {
+		t.Fatalf("1-eval budget: degraded=%v rung=%q, want the greedy rung", res.Degraded, res.Rung)
+	}
+	if rescored := plan.ExpCostPhased(res.Plan, []*stats.Dist{dm}); relDiff(res.Cost, rescored) > 1e-9 {
+		t.Errorf("greedy rung cost %v != re-scored expected cost %v", res.Cost, rescored)
+	}
+
+	fallbacks := 0
+	for i := 0; i < 120; i++ {
+		seed := int64(41000 + i)
+		dm := randMemDist3(seed)
+		cc := tierCosters(dm)[i%5]
+		n := 2 + i%(cc.maxN-1)
+		cat, q := randInstance(t, seed, n, tierShapes[i%len(tierShapes)], i%3 == 0)
+		eng, err := NewOptimizer(cat, q, Options{Budget: Budget{MaxCostEvals: 1}}, cc.cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		fb, err := eng.Optimize()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if fb.Rung != RungGreedy {
+			continue
+		}
+		fallbacks++
+		checkValidPlan(t, fb, q, "greedy")
+		if rescored := plan.ExpCostPhased(fb.Plan, eng.tierPhaseDists()); relDiff(fb.Cost, rescored) > 1e-9 {
+			t.Errorf("seed %d: greedy rung cost %v != re-scored expected cost %v", seed, fb.Cost, rescored)
+		}
+		tier0, err := optimizeConfig(cat, q, Options{Tier: TierGreedy}, cc.cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if fb.Cost > tier0.Cost {
+			t.Errorf("seed %d: greedy rung cost %v exceeds the tier-0 served cost %v", seed, fb.Cost, tier0.Cost)
+		}
+	}
+	// Two-relation instances and the pipelined space complete a plan within
+	// their first evaluation, so the partial rung serves those (37 of 120).
+	if fallbacks < 80 {
+		t.Errorf("only %d/120 grid instances reached the greedy rung", fallbacks)
 	}
 }
 

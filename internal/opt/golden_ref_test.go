@@ -623,7 +623,7 @@ func TestGoldenEquivalenceSeed(t *testing.T) {
 		// Bushy DPs.
 		{
 			mem := gi.dm.Mean()
-			got, gotErr := BushySystemR(gi.cat, gi.q, gi.opts, mem)
+			got, gotErr := optimizeConfig(gi.cat, gi.q, gi.opts, Config{Space: SpaceBushy, Coster: FixedParams{Mem: mem}})
 			want, wantErr := seedBushyDP(newCtx(), seedBushyFixed{mem: mem})
 			check("BushySystemR", i, got, want, gotErr, wantErr)
 		}

@@ -37,6 +37,17 @@ func randMemDist3(seed int64) *stats.Dist {
 	return stats.MustNew(vals, w)
 }
 
+// optimizeConfig runs one engine configuration to completion — the body
+// every context-free strategy entry point shares, for Space × Coster ×
+// Objective points that have no named entry point.
+func optimizeConfig(cat *catalog.Catalog, q *query.SPJ, opts Options, cfg Config) (*Result, error) {
+	eng, err := NewOptimizer(cat, q, opts, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Optimize()
+}
+
 const costTol = 1e-6
 
 func relDiff(a, b float64) float64 {

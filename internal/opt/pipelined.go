@@ -96,19 +96,3 @@ func ExhaustivePipelined(cat *catalog.Catalog, q *query.SPJ, opts Options, phase
 	}
 	return eng.Optimize()
 }
-
-// PipelinedVariancePenalized searches the pipelined space for the plan
-// minimizing E[cost] + λ·Var[cost] per pipeline phase — risk-sensitive
-// pipelined optimization, a Space × Objective combination the pre-engine
-// entry points could not express.
-func PipelinedVariancePenalized(cat *catalog.Catalog, q *query.SPJ, opts Options, phaseDists []*stats.Dist, lambda float64) (*Result, error) {
-	eng, err := NewOptimizer(cat, q, opts, Config{
-		Space:     SpacePipelined,
-		Coster:    PhasedParams{Phases: phaseDists},
-		Objective: VariancePenalized{Lambda: lambda},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return eng.Optimize()
-}

@@ -1,14 +1,12 @@
 package opt
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"time"
 
-	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/faultinject"
 	"repro/internal/plan"
@@ -26,10 +24,12 @@ import (
 // cost variance, and probability mass near a cost level-set boundary — say
 // the cheap plan cannot be trusted.
 //
-// The greedy planner prices steps with the same expected-cost arithmetic as
+// The greedy planner (greedyPlan) is the engine's only one: tier 0 seeds it
+// with the min-rows scan, and failsoft.go's fallback rung runs it from a
+// seed portfolio. It prices steps with the same expected-cost arithmetic as
 // plan.ExpCostPhased (sums over the phase distribution's support), so a
-// served greedy plan's Result.Cost is exactly what re-scoring the plan under
-// the active coster would report: the gap bound G ≤ (1+MaxGap)·LB ≤
+// greedy plan's Result.Cost is exactly what re-scoring the plan under the
+// active coster would report: the gap bound G ≤ (1+MaxGap)·LB ≤
 // (1+MaxGap)·OPT is a real guarantee, not an estimate of one.
 
 // Tier selects the tiered-planning mode. The zero value (TierDP) runs the
@@ -350,17 +350,12 @@ func (o *Optimizer) tierGreedyGuarded(phases []*stats.Dist, risk TierRisk) (gp t
 	return o.tierGreedy(phases, risk)
 }
 
-// tierGreedy is the rung-zero planner: greedy left-deep join ordering by
-// minimum expected output cardinality over the join graph, with each step's
-// method chosen by minimum expected join cost under that phase's memory
-// distribution. It is allocation-light — the only allocations are the plan
-// nodes themselves (interned in the session arena) and the subset-size memo
-// entries — and O(n²·|methods|·|support|) work, which keeps chain/star n=20
-// plans under 100µs.
-//
-// The returned cost equals plan.ExpCostPhased(node, phases) by linearity of
-// expectation: scans are priced at AccessCost, join k in expectation over
-// phases[k], and the final sort (if any) over the last join's phase.
+// tierGreedy is the rung-zero planner: the greedy planner below, seeded
+// with the smallest filtered relation — the standard min-cardinality
+// opening, and for star queries the hub's cheapest partner. Its prologue is
+// tier-only: the tier/greedy fault-injection site and the request-context
+// check guard the fast path, while the fail-soft fallback (runGreedy) calls
+// greedyPlan directly and bypasses both.
 func (o *Optimizer) tierGreedy(phases []*stats.Dist, risk TierRisk) (tierPlan, error) {
 	ctx := o.ctx
 	switch faultinject.Check(faultinject.TierGreedy) {
@@ -378,18 +373,48 @@ func (o *Optimizer) tierGreedy(phases []*stats.Dist, risk TierRisk) (tierPlan, e
 	if n == 0 {
 		return tierPlan{}, fmt.Errorf("opt: empty query")
 	}
-
-	// Start at the smallest filtered relation — the standard min-cardinality
-	// opening, and for star queries the hub's cheapest partner.
 	start := 0
 	for i := 1; i < n; i++ {
 		if ctx.baseRows[i] < ctx.baseRows[start] {
 			start = i
 		}
 	}
-	var cur plan.Node = ctx.BestScan(start)
-	used := query.NewRelSet(start)
-	gp := tierPlan{cost: ctx.BestScan(start).AccessCost()}
+	return ctx.greedyPlan(ctx.scanSeed(start), phases, risk.BoundaryMargin)
+}
+
+// greedySeed is one starting point for the greedy planner: a partial plan,
+// the relations it covers, and its expected cost under the phase
+// distributions.
+type greedySeed struct {
+	node plan.Node
+	set  query.RelSet
+	cost float64
+}
+
+// scanSeed opens a greedy plan at relation i's cheapest access path.
+func (ctx *Context) scanSeed(i int) greedySeed {
+	s := ctx.BestScan(i)
+	return greedySeed{s, query.NewRelSet(i), s.AccessCost()}
+}
+
+// greedyPlan is the engine's one greedy planner: it grows the seed into a
+// left-deep plan by minimum expected output cardinality over the join
+// graph, with each step's method chosen by minimum expected join cost under
+// that phase's memory distribution, then applies the ORDER BY sort. It is
+// allocation-light — the only allocations are the plan nodes themselves
+// (interned in the session arena) and the subset-size memo entries — and
+// O(n²·|methods|·|support|) work, which keeps chain/star n=20 plans under
+// 100µs. margin is the level-set boundary margin the risk signal uses (0
+// skips it).
+//
+// The returned cost equals plan.ExpCostPhased(node, phases) whenever the
+// seed's cost does, by linearity of expectation: scans are priced at
+// AccessCost, join k in expectation over phases[k], and the final sort (if
+// any) over the last join's phase.
+func (ctx *Context) greedyPlan(seed greedySeed, phases []*stats.Dist, margin float64) (tierPlan, error) {
+	n := ctx.Q.NumRels()
+	cur, used := seed.node, seed.set
+	gp := tierPlan{cost: seed.cost}
 
 	for used.Len() < n {
 		// Candidate choice: among admissible extensions, prefer relations
@@ -412,7 +437,7 @@ func (o *Optimizer) tierGreedy(phases []*stats.Dist, risk TierRisk) (tierPlan, e
 			}
 		}
 		if bestJ < 0 {
-			return tierPlan{}, fmt.Errorf("opt: greedy tier found no admissible extension of %v", used)
+			return tierPlan{}, fmt.Errorf("opt: greedy planner found no admissible extension of %v", used)
 		}
 
 		scan := ctx.BestScan(bestJ)
@@ -444,7 +469,7 @@ func (o *Optimizer) tierGreedy(phases []*stats.Dist, risk TierRisk) (tierPlan, e
 		if math.IsInf(bestMean, 1) {
 			return tierPlan{}, fmt.Errorf("%w: every join method's expected cost was non-finite", errTierFault)
 		}
-		if mass := tierBoundaryMass(d, cost.MemBreakpoints(bestM, leftPages, rightPages), risk.BoundaryMargin); mass > gp.boundary {
+		if mass := tierBoundaryMass(d, cost.MemBreakpoints(bestM, leftPages, rightPages), margin); mass > gp.boundary {
 			gp.boundary = mass
 		}
 		s := used.Add(bestJ)
@@ -473,7 +498,7 @@ func (o *Optimizer) tierGreedy(phases []*stats.Dist, risk TierRisk) (tierPlan, e
 		if v := meanSq - mean*mean; v > 0 {
 			gp.variance += v
 		}
-		if mass := tierBoundaryMass(d, cost.SortMemBreakpoints(pages), risk.BoundaryMargin); mass > gp.boundary {
+		if mass := tierBoundaryMass(d, cost.SortMemBreakpoints(pages), margin); mass > gp.boundary {
 			gp.boundary = mass
 		}
 	}
@@ -577,25 +602,4 @@ func (o *Optimizer) tierLowerBound(phases []*stats.Dist) float64 {
 		lb += f
 	}
 	return lb
-}
-
-// TieredCtx optimizes q with the greedy fast path armed (Options.Tier is
-// forced to TierAuto unless already set): the greedy tier serves when its
-// risk signals clear the Options.TierRisk thresholds, and the run escalates
-// to Algorithm C's static-distribution DP otherwise. The Result's Tier /
-// TierReason / TierGap fields report which tier answered and why.
-func TieredCtx(rc context.Context, cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
-	if opts.Tier == TierDP {
-		opts.Tier = TierAuto
-	}
-	eng, err := NewOptimizer(cat, q, opts, Config{Coster: StaticParams{Mem: dm}})
-	if err != nil {
-		return nil, err
-	}
-	return eng.OptimizeCtx(rc)
-}
-
-// Tiered is TieredCtx under a background context.
-func Tiered(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
-	return TieredCtx(context.Background(), cat, q, opts, dm)
 }

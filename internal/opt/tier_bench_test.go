@@ -82,7 +82,7 @@ func BenchmarkTieredPlanning(b *testing.B) {
 			b.Run(fmt.Sprintf("greedy/%v/n%d", shape, n), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := Tiered(cat, q, Options{Tier: TierGreedy}, dm); err != nil {
+					if _, err := AlgorithmC(cat, q, Options{Tier: TierGreedy}, dm); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -96,7 +96,7 @@ func BenchmarkTieredPlanning(b *testing.B) {
 	b.Run("escalate/star/n10", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := Tiered(escCat, escQ, Options{}, dm)
+			res, err := AlgorithmC(escCat, escQ, Options{Tier: TierAuto}, dm)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func BenchmarkTieredPlanning(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			inst := mix[i%len(mix)]
-			if _, err := Tiered(inst.cat, inst.q, Options{}, dm); err != nil {
+			if _, err := AlgorithmC(inst.cat, inst.q, Options{Tier: TierAuto}, dm); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -158,7 +158,7 @@ func TestTierGreedyLatencyBudget(t *testing.T) {
 		for _, n := range []int{10, 20} {
 			cat, q := randInstance(t, 7, n, shape, false)
 			med := medianLatency(t, 64, func() {
-				res, err := Tiered(cat, q, Options{Tier: TierGreedy}, dm)
+				res, err := AlgorithmC(cat, q, Options{Tier: TierGreedy}, dm)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -191,7 +191,7 @@ func TestTierMixedWorkloadSpeedup(t *testing.T) {
 	// can't silently turn this into a trivial comparison.
 	served := 0
 	for _, inst := range mix {
-		res, err := Tiered(inst.cat, inst.q, Options{}, dm)
+		res, err := AlgorithmC(inst.cat, inst.q, Options{Tier: TierAuto}, dm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func TestTierMixedWorkloadSpeedup(t *testing.T) {
 	}
 
 	autoMed := perQuery(func(inst tierBenchInstance) {
-		if _, err := Tiered(inst.cat, inst.q, Options{}, dm); err != nil {
+		if _, err := AlgorithmC(inst.cat, inst.q, Options{Tier: TierAuto}, dm); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -91,6 +91,37 @@ func New(vals, weights []float64) (*Dist, error) {
 	return d, nil
 }
 
+// FromNormalized rebuilds a distribution from the Support() and Probs() of
+// one without re-normalizing, so the round trip is bit-exact (New would
+// divide every weight by a total that is 1 only up to rounding). The values
+// must be finite and strictly ascending, the probabilities finite and
+// positive with a sum within rounding tolerance of 1.
+func FromNormalized(vals, probs []float64) (*Dist, error) {
+	if len(vals) != len(probs) {
+		return nil, fmt.Errorf("stats: %d values but %d probabilities", len(vals), len(probs))
+	}
+	if len(vals) == 0 {
+		return nil, ErrEmpty
+	}
+	total := 0.0
+	for i, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("stats: non-finite value %v", v)
+		}
+		if i > 0 && v <= vals[i-1] {
+			return nil, fmt.Errorf("stats: support not strictly ascending at %d", i)
+		}
+		if p := probs[i]; p <= 0 || math.IsNaN(p) || math.IsInf(p, 0) {
+			return nil, fmt.Errorf("stats: bad probability %v for value %v", p, v)
+		}
+		total += probs[i]
+	}
+	if math.Abs(total-1) > probEps {
+		return nil, fmt.Errorf("stats: probabilities sum to %v", total)
+	}
+	return &Dist{vals: append([]float64(nil), vals...), probs: append([]float64(nil), probs...)}, nil
+}
+
 // MustNew is like New but panics on error. Intended for fixtures and tests
 // where the inputs are literals.
 func MustNew(vals, weights []float64) *Dist {
