@@ -3,20 +3,18 @@ package obs
 // OptMetrics bundles the search engine's registry instruments so the hot
 // paths in internal/opt pay one pointer dereference per record instead of a
 // registry lookup. A nil *OptMetrics disables all recording. Safe for
-// concurrent use across engines sharing one bundle.
+// concurrent use across engines sharing one bundle. Counters are exact;
+// costing time is estimated from a fixed-stride sample of pricer calls (one
+// in opt's costSampleStride), so the engine never reads the clock per cost
+// evaluation.
 type OptMetrics struct {
-	// Per-phase wall time of one optimization run, in seconds. Enumeration
-	// is total run time minus costing and bucketing.
+	// Per-phase time of one optimization run, in seconds. Costing is the
+	// sampled estimate of cost-formula time; enumeration is total run time
+	// minus costing; bucketing is the part of costing spent building size
+	// distributions (timed in full). 0 ≤ bucketing ≤ costing ≤ total.
 	EnumerationSeconds *Histogram
 	CostingSeconds     *Histogram
 	BucketingSeconds   *Histogram
-
-	// Per-enumerator mirrors of the phase histograms. The text registry has
-	// no label support, so the enumerator label is encoded in the metric
-	// name (…_seconds_exhaustive / …_seconds_connected); the unsuffixed
-	// histograms above remain the all-runs totals.
-	PhaseExhaustive *OptPhaseMetrics
-	PhaseConnected  *OptPhaseMetrics
 
 	// Counter mirrors of the engine's per-run Counters deltas.
 	Runs            *Counter
@@ -101,33 +99,6 @@ func newTierMetrics(reg *Registry, phase []float64) *TierMetrics {
 	}
 }
 
-// OptPhaseMetrics is one enumerator's mirror of the per-phase histograms.
-type OptPhaseMetrics struct {
-	EnumerationSeconds *Histogram
-	CostingSeconds     *Histogram
-	BucketingSeconds   *Histogram
-}
-
-// Phase returns the per-enumerator phase bundle (connected or exhaustive).
-// Nil-safe: a nil *OptMetrics returns nil.
-func (m *OptMetrics) Phase(connected bool) *OptPhaseMetrics {
-	if m == nil {
-		return nil
-	}
-	if connected {
-		return m.PhaseConnected
-	}
-	return m.PhaseExhaustive
-}
-
-func newOptPhaseMetrics(reg *Registry, suffix string, buckets []float64) *OptPhaseMetrics {
-	return &OptPhaseMetrics{
-		EnumerationSeconds: reg.Histogram("lec_opt_enumeration_seconds_"+suffix, "Plan enumeration time per optimization run under the "+suffix+" enumerator.", buckets),
-		CostingSeconds:     reg.Histogram("lec_opt_costing_seconds_"+suffix, "Cost-formula evaluation time per optimization run under the "+suffix+" enumerator.", buckets),
-		BucketingSeconds:   reg.Histogram("lec_opt_bucketing_seconds_"+suffix, "Distribution bucketing/convolution time per optimization run under the "+suffix+" enumerator.", buckets),
-	}
-}
-
 // NewOptMetrics registers the optimizer's metric family on reg. Returns nil
 // when reg is nil, so callers can pass the result around unconditionally.
 func NewOptMetrics(reg *Registry) *OptMetrics {
@@ -138,9 +109,9 @@ func NewOptMetrics(reg *Registry) *OptMetrics {
 	phase := []float64{0.000001, 0.00001, 0.0001, 0.00025, 0.0005, 0.001,
 		0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 	return &OptMetrics{
-		EnumerationSeconds: reg.Histogram("lec_opt_enumeration_seconds", "Plan enumeration time per optimization run (total minus costing; bucketing time is inside costing).", phase),
-		CostingSeconds:     reg.Histogram("lec_opt_costing_seconds", "Cost-formula evaluation time per optimization run.", phase),
-		BucketingSeconds:   reg.Histogram("lec_opt_bucketing_seconds", "Distribution bucketing/convolution time per optimization run.", phase),
+		EnumerationSeconds: reg.Histogram("lec_opt_enumeration_seconds", "Plan enumeration time per optimization run: total run time minus the sampled costing estimate.", phase),
+		CostingSeconds:     reg.Histogram("lec_opt_costing_seconds", "Cost-formula evaluation time per optimization run, estimated from a fixed-stride sample of pricer calls ((sampled time − clock overhead) × calls / samples).", phase),
+		BucketingSeconds:   reg.Histogram("lec_opt_bucketing_seconds", "Distribution bucketing/convolution time per optimization run (timed in full; part of costing, clamped to at most the costing estimate).", phase),
 		Runs:               reg.Counter("lec_opt_runs_total", "Optimization runs completed."),
 		CostEvals:          reg.Counter("lec_opt_cost_evals_total", "Cost-formula evaluations."),
 		Prunes:             reg.Counter("lec_opt_prunes_total", "Candidate plans pruned by the DP."),
@@ -148,8 +119,6 @@ func NewOptMetrics(reg *Registry) *OptMetrics {
 		Subsets:            reg.Counter("lec_opt_subsets_total", "Relation subsets visited by the DP."),
 		SubsetsEnumerated:  reg.Counter("lec_opt_subsets_enumerated_total", "Relation subsets emitted by the lattice enumerator."),
 		SubsetsSkipped:     reg.Counter("lec_opt_subsets_skipped_total", "Relation subsets pruned by the connected enumerator as disconnected."),
-		PhaseExhaustive:    newOptPhaseMetrics(reg, "exhaustive", phase),
-		PhaseConnected:     newOptPhaseMetrics(reg, "connected", phase),
 		JoinSteps:          reg.Counter("lec_opt_join_steps_total", "Join steps priced."),
 		NonFiniteCosts:     reg.Counter("lec_opt_nonfinite_costs_total", "Cost evaluations that produced NaN or Inf."),
 		Degradations:       reg.Counter("lec_opt_degradations_total", "Optimizations that returned a degraded (fallback) plan."),

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/cost"
 	"repro/internal/faultinject"
@@ -58,10 +57,7 @@ type methodBatch struct {
 // non-injected method — so an injected method perturbs counters exactly as
 // it does sequentially (the skipped call charges nothing).
 func (ctx *Context) priceJoinBatched(bp batchStepPricer, b *methodBatch, m cost.Method, left, right plan.Node, s query.RelSet, phase int) float64 {
-	var t0 time.Time
-	if ctx.metrics != nil {
-		t0 = time.Now()
-	}
+	t0 := ctx.costStart()
 	var v float64
 	switch faultinject.Check(faultinject.JoinCost) {
 	case faultinject.KindNaN:
@@ -79,9 +75,7 @@ func (ctx *Context) priceJoinBatched(bp batchStepPricer, b *methodBatch, m cost.
 		v = b.vals[m]
 	}
 	v = ctx.guardCost(v)
-	if ctx.metrics != nil {
-		ctx.costingNanos += time.Since(t0).Nanoseconds()
-	}
+	ctx.costStop(t0)
 	ctx.checkBudget()
 	return v
 }

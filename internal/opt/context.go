@@ -287,18 +287,21 @@ type Context struct {
 
 	// observability state (see obs.go): the decision-trace recorder (nil
 	// unless Options.Trace), the metrics bundle (nil unless
-	// Options.Metrics), per-run timing accumulators, and the per-subset
-	// equi-depth bucketing error contributions (summed in ascending subset
-	// order, so the session total is schedule-independent).
-	trace          *obs.Recorder
-	metrics        *obs.OptMetrics
-	obsWant        bool // metrics or trace enabled — session-constant
-	metricsMark    Counters
-	runStart       time.Time
-	costingNanos   int64
-	bucketingNanos int64
-	bucketErr      *errMemo
-	bucketErrMark  float64
+	// Options.Metrics), per-run timing accumulators (pricer calls, the
+	// sampled subset of them and its summed duration — see costStart), and
+	// the per-subset equi-depth bucketing error contributions (summed in
+	// ascending subset order, so the session total is schedule-independent).
+	trace            *obs.Recorder
+	metrics          *obs.OptMetrics
+	obsWant          bool // metrics or trace enabled — session-constant
+	metricsMark      Counters
+	runStart         time.Time
+	costCalls        int
+	costSamples      int
+	costSampledNanos int64
+	bucketingNanos   int64
+	bucketErr        *errMemo
+	bucketErrMark    float64
 
 	Count Counters
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -14,7 +15,9 @@ import (
 // 10-relation queries across the three canonical join-graph topologies.
 // ns/op and allocs/op here are the numbers CHANGES.md tracks across the
 // arena/memo-reuse work: the DP over a 10-relation lattice enumerates
-// 2^10 subsets and is the optimizer's hot path.
+// 2^10 subsets and is the optimizer's hot path. The algC/<shape>/metrics
+// rows run the same query with Options.Metrics set, the configuration lecd
+// serves, so the cost of observing the DP is part of the gate.
 func BenchmarkDPCore(b *testing.B) {
 	dm := stats.MustNew(
 		[]float64{200, 700, 1500, 3000, 6000},
@@ -30,6 +33,15 @@ func BenchmarkDPCore(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := AlgorithmC(cat, q, Options{}, dm); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("algC/%v/metrics", shape), func(b *testing.B) {
+			opts := Options{Metrics: obs.NewOptMetrics(obs.NewRegistry())}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := AlgorithmC(cat, q, opts, dm); err != nil {
 					b.Fatal(err)
 				}
 			}

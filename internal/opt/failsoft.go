@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/cost"
 	"repro/internal/faultinject"
@@ -256,10 +255,7 @@ func (ctx *Context) guardCost(v float64) float64 {
 // the fail-soft machinery: the fault-injection site, the non-finite guard,
 // and the budget/cancellation checkpoint.
 func (ctx *Context) priceJoin(pr stepPricer, m cost.Method, left, right plan.Node, s query.RelSet, phase int) float64 {
-	var t0 time.Time
-	if ctx.metrics != nil {
-		t0 = time.Now()
-	}
+	t0 := ctx.costStart()
 	var v float64
 	switch faultinject.Check(faultinject.JoinCost) {
 	case faultinject.KindNaN:
@@ -270,9 +266,7 @@ func (ctx *Context) priceJoin(pr stepPricer, m cost.Method, left, right plan.Nod
 		v = pr.joinStep(m, left, right, s, phase)
 	}
 	v = ctx.guardCost(v)
-	if ctx.metrics != nil {
-		ctx.costingNanos += time.Since(t0).Nanoseconds()
-	}
+	ctx.costStop(t0)
 	ctx.checkBudget()
 	return v
 }
@@ -280,10 +274,7 @@ func (ctx *Context) priceJoin(pr stepPricer, m cost.Method, left, right plan.Nod
 // priceSort prices the final ORDER BY sort with the same guards as
 // priceJoin.
 func (ctx *Context) priceSort(pr stepPricer, input plan.Node, phase int) float64 {
-	var t0 time.Time
-	if ctx.metrics != nil {
-		t0 = time.Now()
-	}
+	t0 := ctx.costStart()
 	var v float64
 	switch faultinject.Check(faultinject.SortCost) {
 	case faultinject.KindNaN:
@@ -294,9 +285,7 @@ func (ctx *Context) priceSort(pr stepPricer, input plan.Node, phase int) float64
 		v = pr.sortStep(input, phase)
 	}
 	v = ctx.guardCost(v)
-	if ctx.metrics != nil {
-		ctx.costingNanos += time.Since(t0).Nanoseconds()
-	}
+	ctx.costStop(t0)
 	ctx.checkBudget()
 	return v
 }

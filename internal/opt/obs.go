@@ -2,6 +2,8 @@ package opt
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/cost"
@@ -64,7 +66,19 @@ func (m *errMemo) total() float64 {
 // deltas and phase timings to the Options.Metrics bundle, snapshotting the
 // decision-trace recorder onto Results, and accumulating the equi-depth
 // bucketing error bound. The hot paths (dp.go, failsoft.go, algd.go) only
-// ever pay a nil check when tracing/metrics are disabled.
+// ever pay a nil check when tracing/metrics are disabled. With metrics on,
+// the pricer wrappers count every call but read the clock on only one call
+// in costSampleStride (costStart/costStop), so costing time is a sampled
+// estimate; bucketing, which is rarer and coarser, is still timed in full.
+
+// costSampleStride is the pricer-call sampling interval: a run times its
+// first pricer call and every costSampleStride-th call after it. A clock
+// read pair costs more than most batched-method pricer calls, so timing
+// every call would double the DP's run time. The stride is prime so it
+// cannot alias with the per-candidate method loop (the first method of a
+// batch computes it, the rest read it back): every method position gets
+// sampled in proportion.
+const costSampleStride = 61
 
 // beginObs arms the per-run observability state; called from beginRun.
 func (ctx *Context) beginObs() {
@@ -73,37 +87,100 @@ func (ctx *Context) beginObs() {
 	}
 	ctx.metricsMark = ctx.Count
 	ctx.runStart = time.Now()
-	ctx.costingNanos = 0
+	ctx.costCalls = 0
+	ctx.costSamples = 0
+	ctx.costSampledNanos = 0
 	ctx.bucketingNanos = 0
 	ctx.bucketErrMark = ctx.bucketErr.total()
 }
 
+// costStart counts one pricer call and opens a timing sample on the run's
+// first call and every costSampleStride-th call after it. The zero Time
+// means the call is not sampled (or metrics are off); hand the result to
+// costStop. Both helpers inline to a nil check when metrics are off.
+func (ctx *Context) costStart() time.Time {
+	if ctx.metrics == nil {
+		return time.Time{}
+	}
+	return ctx.costCount()
+}
+
+// costCount is costStart's metrics-on body.
+func (ctx *Context) costCount() time.Time {
+	c := ctx.costCalls
+	ctx.costCalls++
+	if c%costSampleStride != 0 {
+		return time.Time{}
+	}
+	ctx.costSamples++
+	return time.Now()
+}
+
+// costStop closes a sample opened by costStart.
+func (ctx *Context) costStop(t0 time.Time) {
+	if ctx.metrics != nil {
+		ctx.costAdd(t0)
+	}
+}
+
+// costAdd is costStop's metrics-on body.
+func (ctx *Context) costAdd(t0 time.Time) {
+	if !t0.IsZero() {
+		ctx.costSampledNanos += int64(time.Since(t0))
+	}
+}
+
+// costingSeconds is the run's estimated pricer time: the sampled calls'
+// mean duration, less the clock's own share of each sample, times the
+// number of calls. The ratio estimator (rather than sampled time × stride)
+// stays unbiased on short runs, where the forced first sample is most of
+// the samples. The clock correction matters because a sampled interval
+// spans the tail of one clock read and the head of the next — tens of ns,
+// the same order as a batched pricer call — which the unsampled calls never
+// pay.
+func (ctx *Context) costingSeconds() float64 {
+	if ctx.costSamples == 0 {
+		return 0
+	}
+	work := ctx.costSampledNanos - int64(ctx.costSamples)*clockReadNanos()
+	if work <= 0 {
+		return 0
+	}
+	return float64(work) * float64(ctx.costCalls) / float64(ctx.costSamples) / 1e9
+}
+
+// clockReadNanos is the median duration of an empty timed interval on the
+// running machine — the clock overhead inside every costStart/costStop
+// sample — measured once per process on the first metrics flush.
+var clockReadNanos = sync.OnceValue(func() int64 {
+	var d [63]int64
+	for i := range d {
+		t0 := time.Now()
+		d[i] = int64(time.Since(t0))
+	}
+	slices.Sort(d[:])
+	return d[len(d)/2]
+})
+
 // flushMetrics observes one finished run on the metrics bundle: phase
-// timings (enumeration is total wall time minus costing; bucketing is the
-// subset of costing spent constructing size distributions) and the counter
-// deltas since beginRun.
+// timings and the counter deltas since beginRun. Costing is the sampled
+// pricer-time estimate, enumeration is total wall time minus costing, and
+// bucketing is the part of costing spent constructing size distributions.
+// Bucketing is timed in full while costing is estimated, and a parallel
+// run sums worker time against one wall clock, so the split is clamped to
+// 0 ≤ bucketing ≤ costing ≤ total.
 func (ctx *Context) flushMetrics() {
 	m := ctx.metrics
 	if m == nil {
 		return
 	}
 	total := time.Since(ctx.runStart).Seconds()
-	costing := float64(ctx.costingNanos) / 1e9
 	bucketing := float64(ctx.bucketingNanos) / 1e9
-	enum := total - costing
-	if enum < 0 {
-		enum = 0
-	}
-	m.EnumerationSeconds.Observe(enum)
+	costing := min(max(ctx.costingSeconds(), bucketing), total)
+	bucketing = min(bucketing, costing)
+	m.EnumerationSeconds.Observe(total - costing)
 	m.CostingSeconds.Observe(costing)
 	m.BucketingSeconds.Observe(bucketing)
-	// Per-enumerator phase mirrors — the registry's label-free encoding of
-	// the enumerator label on phase timings.
-	if ph := m.Phase(ctx.enumEff == EnumConnected); ph != nil {
-		ph.EnumerationSeconds.Observe(enum)
-		ph.CostingSeconds.Observe(costing)
-		ph.BucketingSeconds.Observe(bucketing)
-	}
 	d, mark := ctx.Count, ctx.metricsMark
 	m.Runs.Inc()
 	m.CostEvals.Add(float64(d.CostEvals - mark.CostEvals))

@@ -115,7 +115,9 @@ func newWorkerShell(root *Context) *Context {
 	sh.pollCountdown = 1
 	sh.nonFiniteMark = 0
 	sh.metricsMark = Counters{}
-	sh.costingNanos = 0
+	sh.costCalls = 0
+	sh.costSamples = 0
+	sh.costSampledNanos = 0
 	sh.bucketingNanos = 0
 	sh.parEvalMark = 0
 	sh.parSubsetMark = 0
@@ -255,7 +257,9 @@ func (o *Optimizer) runLevelSync(workers int, bushy bool) (*Result, error) {
 	// the parRun atomics.
 	for _, sh := range shells {
 		ctx.Count.Add(sh.Count)
-		ctx.costingNanos += sh.costingNanos
+		ctx.costCalls += sh.costCalls
+		ctx.costSamples += sh.costSamples
+		ctx.costSampledNanos += sh.costSampledNanos
 		ctx.bucketingNanos += sh.bucketingNanos
 	}
 	if cause := p.firstCause(); cause != nil && ctx.stopCause == nil {
