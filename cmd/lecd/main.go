@@ -58,8 +58,9 @@
 // except sql (outside -demo); strategy defaults to "c".
 //
 // HTTP status mapping: 400 invalid input (bad SQL, unknown relation, bad
-// distribution), 429 overloaded (with a Retry-After header), 503 draining,
-// circuit open, or budget exhausted with no plan, 500 internal error.
+// distribution), 413 request body over 1 MiB, 429 overloaded (with a
+// Retry-After header), 503 draining, circuit open, or budget exhausted with
+// no plan, 500 internal error.
 //
 // On SIGTERM or SIGINT the daemon flips /readyz to 503, stops admitting new
 // optimizations, lets in-flight requests finish (bounded by -drain), and
@@ -344,8 +345,13 @@ func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	d.reg.WritePrometheus(w)
 }
 
-// optimizeRequest is the /optimize and /compare body. Every field is
-// optional in -demo mode; sql is required otherwise.
+// maxRequestBytes bounds the /optimize, /compare and /trace bodies. A
+// legitimate body is a few KiB of SQL plus a memory spec; a larger one is
+// refused with 413 before it is buffered.
+const maxRequestBytes = 1 << 20
+
+// optimizeRequest is the /optimize, /compare and /trace body. Every field
+// is optional in -demo mode; sql is required otherwise.
 type optimizeRequest struct {
 	SQL        string  `json:"sql"`
 	Mem        string  `json:"mem"`      // "value:prob,..." spec
@@ -389,8 +395,12 @@ func (d *daemon) parseRequest(w http.ResponseWriter, r *http.Request) (serve.Req
 		return serve.Request{}, nil, nil, false
 	}
 	var in optimizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&in); err != nil && !errors.Is(err, io.EOF) {
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&in); err != nil && !errors.Is(err, io.EOF) {
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+		} else {
+			http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
+		}
 		return serve.Request{}, nil, nil, false
 	}
 	req := serve.Request{SQL: in.SQL}

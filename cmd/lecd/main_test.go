@@ -126,6 +126,29 @@ func TestOptimizeEndpointErrors(t *testing.T) {
 	}
 }
 
+// TestOversizeBodyIs413: every endpoint that parses a request body refuses
+// one past maxRequestBytes with 413, without decoding it.
+func TestOversizeBodyIs413(t *testing.T) {
+	d := newDemoDaemon(t)
+	ts := httptest.NewServer(d.handler())
+	defer ts.Close()
+
+	body := `{"sql": "` + strings.Repeat(" ", maxRequestBytes) + `"}`
+	for _, path := range []string{"/optimize", "/compare", "/trace"} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: status = %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+	if got := d.svc.Stats().Requests; got != 0 {
+		t.Errorf("oversize bodies reached the service: %d requests", got)
+	}
+}
+
 func TestCompareEndpoint(t *testing.T) {
 	d := newDemoDaemon(t)
 	ts := httptest.NewServer(d.handler())

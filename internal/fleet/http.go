@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,6 +19,36 @@ const (
 	membershipPath = "/fleet/v1/membership"
 	handoffPath    = "/fleet/v1/handoff"
 )
+
+// maxWireBytes bounds every peer-protocol body, requests read by Handler
+// and replies read by HTTPTransport alike. The largest legitimate message
+// is a warm handoff of the whole recorded warm set: the default
+// Config.SnapshotLimit of 1024 request specs at up to ~2 KiB of JSON each
+// (a 16-relation query's SQL plus its selectivities, memory distribution
+// and chain) is about 2 MiB; the bound leaves 4× headroom.
+const maxWireBytes = 8 << 20
+
+// decodeBody decodes one bounded JSON peer body into out. Exceeding the
+// bound returns a *http.MaxBytesError.
+func decodeBody(w http.ResponseWriter, body io.ReadCloser, out any) error {
+	return json.NewDecoder(http.MaxBytesReader(w, body, maxWireBytes)).Decode(out)
+}
+
+// readPeerBody decodes a peer request body for Handler, answering a body
+// over maxWireBytes with 413 and any other decode failure with 400. It
+// reports whether out was filled.
+func readPeerBody(w http.ResponseWriter, r *http.Request, out any) bool {
+	err := decodeBody(w, r.Body, out)
+	if err == nil {
+		return true
+	}
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		http.Error(w, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+	} else {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	}
+	return false
+}
 
 // propagateBody is the propagate request/reply JSON body.
 type propagateBody struct {
@@ -67,7 +98,10 @@ func (t *HTTPTransport) post(ctx context.Context, url string, body, out any) err
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return fmt.Errorf("peer returned %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	if err := decodeBody(nil, resp.Body, out); err != nil {
+		return fmt.Errorf("peer reply: %w", err)
+	}
+	return nil
 }
 
 // Lookup implements Transport.
@@ -116,8 +150,7 @@ func Handler(n *Node) http.Handler {
 			return
 		}
 		var req LookupRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !readPeerBody(w, r, &req) {
 			return
 		}
 		rep, err := n.HandleLookup(r.Context(), &req)
@@ -135,8 +168,7 @@ func Handler(n *Node) http.Handler {
 			return
 		}
 		var body propagateBody
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !readPeerBody(w, r, &body) {
 			return
 		}
 		writeJSON(w, propagateBody{Generation: n.HandlePropagate(body.Generation)})
@@ -147,8 +179,7 @@ func Handler(n *Node) http.Handler {
 			return
 		}
 		var msg MembershipMsg
-		if err := json.NewDecoder(r.Body).Decode(&msg); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !readPeerBody(w, r, &msg) {
 			return
 		}
 		writeJSON(w, n.HandleMembership(&msg))
@@ -159,8 +190,7 @@ func Handler(n *Node) http.Handler {
 			return
 		}
 		var req HandoffRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !readPeerBody(w, r, &req) {
 			return
 		}
 		writeJSON(w, HandoffReply{Accepted: n.HandleHandoff(r.Context(), &req)})

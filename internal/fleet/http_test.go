@@ -2,8 +2,11 @@ package fleet
 
 import (
 	"context"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -131,5 +134,42 @@ func TestFleetMetricsFreeWhenDisabled(t *testing.T) {
 	}
 	if got := snap2.Gauges["lec_fleet_peers"]; got != 1 {
 		t.Errorf("lec_fleet_peers = %v, want 1", got)
+	}
+}
+
+// TestHandlerRejectsOversizeBodies: each peer-protocol path refuses a body
+// past maxWireBytes with 413 instead of buffering it.
+func TestHandlerRejectsOversizeBodies(t *testing.T) {
+	var node *Node
+	for _, n := range newHTTPFleet(t) {
+		node = n
+	}
+	srv := httptest.NewServer(Handler(node))
+	defer srv.Close()
+	body := `{"from": "` + strings.Repeat("x", maxWireBytes) + `"}`
+	for _, path := range []string{lookupPath, propagatePath, membershipPath, handoffPath} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s with a %d-byte body: status = %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+}
+
+// TestHTTPTransportBoundsPeerReplies: a peer answering with a reply past
+// maxWireBytes fails the call with a typed error rather than being
+// decoded.
+func TestHTTPTransportBoundsPeerReplies(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"node": "`+strings.Repeat("x", maxWireBytes)+`"}`)
+	}))
+	defer srv.Close()
+	tr := &HTTPTransport{}
+	_, err := tr.Lookup(context.Background(), srv.Listener.Addr().String(), &LookupRequest{Key: "k"})
+	if tooLarge := (*http.MaxBytesError)(nil); !errors.As(err, &tooLarge) {
+		t.Fatalf("oversize peer reply: err = %v, want a *http.MaxBytesError", err)
 	}
 }

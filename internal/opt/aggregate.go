@@ -67,6 +67,7 @@ func groupEstimates(cat *catalog.Catalog, q *query.SPJ) (groups, pages float64, 
 	if err != nil {
 		return 0, 0, err
 	}
+	defer ctx.releaseArena()
 	resultRows := ctx.SubsetRows(query.FullSet(q.NumRels()))
 	groups = math.Min(distinct, resultRows)
 	if groups < 1 {

@@ -214,7 +214,11 @@ func TestAlgorithmBWithLargeCAchievesLEC(t *testing.T) {
 func TestAlgorithmBCandidatesCoverA(t *testing.T) {
 	cat, q := randInstance(t, 9, 4, workload.Star, false)
 	dm := randMemDist3(17)
-	bCands, _, _, _, err := algorithmBCandidatesCtx(context.Background(), cat, q, Options{TopC: 3}, dm)
+	eng, err := bucketOptimizer(cat, q, Options{TopC: 3}, dm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bCands, _, err := eng.algorithmBCandidates(context.Background(), dm)
 	if err != nil {
 		t.Fatal(err)
 	}

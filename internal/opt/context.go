@@ -32,6 +32,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"sync"
 	"time"
 
 	"repro/internal/catalog"
@@ -306,8 +307,24 @@ type Context struct {
 	Count Counters
 }
 
+// arenaPool recycles plan arenas across sessions. A session takes its
+// arena in NewContext; Optimizer.Finish detaches the served plan and hands
+// the arena back (sessions that never finish just drop theirs).
+var arenaPool = sync.Pool{New: func() any { return plan.NewArena() }}
+
+// releaseArena resets the session arena and returns it to the pool, unless
+// the session grew it past the reset bound. The context's nodes must be
+// unreachable from anything that outlives it.
+func (ctx *Context) releaseArena() {
+	if ctx.arena.Reset() {
+		arenaPool.Put(ctx.arena)
+	}
+	ctx.arena = nil
+}
+
 // NewContext validates the query against the catalog and precomputes
-// per-relation statistics and access paths.
+// per-relation statistics and access paths. The session's plan arena comes
+// from a package pool.
 func NewContext(cat *catalog.Catalog, q *query.SPJ, opts Options) (*Context, error) {
 	if err := q.Validate(cat); err != nil {
 		return nil, err
@@ -319,7 +336,7 @@ func NewContext(cat *catalog.Catalog, q *query.SPJ, opts Options) (*Context, err
 		basePages: make([]float64, n),
 		ppr:       make([]float64, n),
 		scans:     make([][]*plan.Scan, n),
-		arena:     plan.NewArena(),
+		arena:     arenaPool.Get().(*plan.Arena),
 	}
 	if ctx.Opts.Trace {
 		ctx.trace = obs.NewRecorder(ctx.Opts.TraceCap)
@@ -399,7 +416,8 @@ func (ctx *Context) buildJoinIndex() {
 	ctx.relPreds = make([][]relPredRef, n)
 	ctx.conn = make([]query.RelSet, n)
 	ctx.predSides = make([][2]int, len(q.Joins))
-	for pi, p := range q.Joins {
+	for pi := range q.Joins {
+		p := &q.Joins[pi]
 		li, ri := q.TableIndex(p.Left.Table), q.TableIndex(p.Right.Table)
 		ctx.predSides[pi] = [2]int{li, ri}
 		for j := 0; j < n; j++ {
@@ -420,7 +438,9 @@ func (ctx *Context) buildJoinIndex() {
 }
 
 // stepPreds returns the predicates connecting relation j to subset s —
-// query.JoinsBetween(s, j) computed from the session index.
+// query.JoinsBetween(s, j) computed from the session index — in a list
+// carved from the session arena (the caller holds the arena lock in a
+// parallel run).
 func (ctx *Context) stepPreds(s query.RelSet, j int) []query.JoinPred {
 	cnt := 0
 	for _, rp := range ctx.relPreds[j] {
@@ -431,7 +451,7 @@ func (ctx *Context) stepPreds(s query.RelSet, j int) []query.JoinPred {
 	if cnt == 0 {
 		return nil
 	}
-	out := make([]query.JoinPred, 0, cnt)
+	out := ctx.arena.Preds(cnt)[:0]
 	for _, rp := range ctx.relPreds[j] {
 		if s.Has(rp.other) {
 			out = append(out, ctx.Q.Joins[rp.idx])
@@ -555,12 +575,13 @@ func (ctx *Context) subsetRowsLocked(s query.RelSet) float64 {
 	}
 	rows := 1.0
 	s.ForEach(func(i int) { rows *= ctx.baseRows[i] })
-	for pi, p := range ctx.Q.Joins {
+	for pi, ends := range ctx.predSides {
 		// predSides resolved the endpoint names once at session build; the
 		// factors multiply in Q.Joins order, same as query.StepSelectivity.
-		ends := ctx.predSides[pi]
+		// (Indexing Q.Joins rather than ranging over it by value avoids
+		// copying every predicate per subset.)
 		if s.Has(ends[0]) && s.Has(ends[1]) {
-			rows *= p.Selectivity
+			rows *= ctx.Q.Joins[pi].Selectivity
 		}
 	}
 	ctx.subsetRows.put(s, rows)
@@ -610,20 +631,25 @@ func (ctx *Context) NewJoin(left plan.Node, right *plan.Scan, m cost.Method, s q
 	var jn *plan.Join
 	var isNew bool
 	if p := ctx.par; p != nil {
-		// The lock covers only the intern probe. Filling the estimate fields
-		// outside it is safe: within a level exactly one task interns each
-		// candidate structure (a left-deep node's (S\{j}, j, method) key
-		// determines S), so no other worker touches a node until the level
-		// barrier publishes it.
+		// The lock covers only the intern probe and the predicate carving.
+		// Filling the estimate fields outside it is safe: within a level
+		// exactly one task interns each candidate structure (a left-deep
+		// node's (S\{j}, j, method) key determines S), so no other worker
+		// touches a node until the level barrier publishes it.
 		p.arenaMu.Lock()
 		jn, isNew = ctx.arena.Join(left, right, m)
+		if isNew {
+			jn.Preds = ctx.stepPreds(s.Without(j), j)
+		}
 		p.arenaMu.Unlock()
 	} else {
 		jn, isNew = ctx.arena.Join(left, right, m)
+		if isNew {
+			jn.Preds = ctx.stepPreds(s.Without(j), j)
+		}
 	}
 	if isNew {
 		ctx.Count.PlansBuilt++
-		jn.Preds = ctx.stepPreds(s.Without(j), j)
 		jn.Selectivity = ctx.stepSel(s.Without(j), j)
 		jn.Pages = ctx.SubsetPages(s)
 		jn.Rows = ctx.SubsetRows(s)

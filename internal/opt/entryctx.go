@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/catalog"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/stats"
@@ -20,6 +19,11 @@ import (
 // The context-free entry points are now thin wrappers over these with
 // context.Background(), which with an unlimited budget reproduces the
 // pre-fail-soft behavior exactly.
+//
+// Every entry point that owns an engine session ends through
+// Optimizer.Finish: the served plan is detached from the session arena and
+// the arena goes back to the package pool, so a caller that keeps the
+// Result (a plan cache, say) keeps O(n) plan nodes alive, not the search.
 
 // SystemRCtx is SystemR under a request context and the Options.Budget.
 func SystemRCtx(rc context.Context, cat *catalog.Catalog, q *query.SPJ, opts Options, mem float64) (*Result, error) {
@@ -27,7 +31,7 @@ func SystemRCtx(rc context.Context, cat *catalog.Catalog, q *query.SPJ, opts Opt
 	if err != nil {
 		return nil, err
 	}
-	return eng.OptimizeCtx(rc)
+	return eng.Finish(eng.OptimizeCtx(rc))
 }
 
 // AlgorithmCCtx is AlgorithmC under a request context and budget.
@@ -36,7 +40,7 @@ func AlgorithmCCtx(rc context.Context, cat *catalog.Catalog, q *query.SPJ, opts 
 	if err != nil {
 		return nil, err
 	}
-	return eng.OptimizeCtx(rc)
+	return eng.Finish(eng.OptimizeCtx(rc))
 }
 
 // AlgorithmCDynamicCtx is AlgorithmCDynamic under a request context and
@@ -46,19 +50,20 @@ func AlgorithmCDynamicCtx(rc context.Context, cat *catalog.Catalog, q *query.SPJ
 	if err != nil {
 		return nil, err
 	}
-	return eng.OptimizeCtx(rc)
+	return eng.Finish(eng.OptimizeCtx(rc))
 }
 
 // AlgorithmDCtx is AlgorithmD under a request context and budget. The
 // returned plan's joins are annotated with their size distributions exactly
 // as AlgorithmD does (the greedy fallback builds ordinary left-deep joins,
-// so its plans annotate the same way).
+// so its plans annotate the same way). The annotation is written on the
+// detached copy; the size memos it reads outlive the arena.
 func AlgorithmDCtx(rc context.Context, cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
 	eng, err := NewOptimizer(cat, q, opts, Config{Coster: MultiParams{Mem: dm}})
 	if err != nil {
 		return nil, err
 	}
-	res, err := eng.OptimizeCtx(rc)
+	res, err := eng.Finish(eng.OptimizeCtx(rc))
 	if err != nil {
 		return nil, err
 	}
@@ -81,6 +86,34 @@ func LSCPlanCtx(rc context.Context, cat *catalog.Catalog, q *query.SPJ, opts Opt
 	out := *res
 	out.Cost = plan.ExpCost(res.Plan, dm)
 	return &out, nil
+}
+
+// Finish ends an engine session at its entry point. It replaces res.Plan
+// with a plan.Detach copy, so the returned plan shares no memory with the
+// session arena, then resets the arena into the package pool and returns
+// the pricer's pooled scratch. sessions names further engines the result
+// was picked from (the aggregation path unions two sessions' pools); they
+// are released the same way. Call Finish once, after any post-processing
+// that reads the sessions' nodes, and do not run the engines again. err is
+// passed through, so an entry point can end with
+// return eng.Finish(eng.OptimizeCtx(rc)).
+func (o *Optimizer) Finish(res *Result, err error, sessions ...*Optimizer) (*Result, error) {
+	if res != nil && res.Plan != nil {
+		res.Plan = plan.Detach(res.Plan)
+	}
+	o.release()
+	for _, e := range sessions {
+		e.release()
+	}
+	return res, err
+}
+
+// release hands the session's pooled scratch back: the pricer's batch
+// vectors and the arena.
+func (o *Optimizer) release() {
+	releasePricerCaches(o.pricer)
+	o.pricer = nil
+	o.ctx.releaseArena()
 }
 
 // degradeInfo accumulates degradation across a multi-bucket run: the first
@@ -111,63 +144,64 @@ func (d degradeInfo) apply(res *Result) {
 // buckets produced (plus the interrupted bucket's degraded plan), and the
 // aggregated Result is flagged.
 func AlgorithmACtx(rc context.Context, cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
-	cands, counters, tr, deg, err := algorithmACandidatesCtx(rc, cat, q, opts, dm)
+	eng, err := bucketOptimizer(cat, q, opts, dm)
 	if err != nil {
 		return nil, err
 	}
+	cands, deg, err := eng.algorithmACandidates(rc, dm)
+	if err != nil {
+		return eng.Finish(nil, err)
+	}
+	return eng.Finish(eng.pickBucketCandidate("A", cands, deg, dm))
+}
+
+// bucketOptimizer builds the one engine session Algorithms A and B run
+// their b bucket searches in, configured for the first bucket.
+func bucketOptimizer(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Optimizer, error) {
+	// The bucket searches build a candidate pool; a greedy tier serving
+	// individual buckets would defeat the pool, so tiering applies at the
+	// strategy level, not here.
+	opts.Tier = TierDP
+	return NewOptimizer(cat, q, opts, Config{Coster: FixedParams{Mem: dm.Value(0)}})
+}
+
+// pickBucketCandidate is Algorithm A's and B's costing phase: the least
+// expected cost plan of the session's pool, reported with the session's
+// counters, degradation and trace (stamped with the final pick's outcome).
+// The pick is still a session node; the caller finishes the session.
+func (o *Optimizer) pickBucketCandidate(alg string, cands []plan.Node, deg degradeInfo, dm *stats.Dist) (*Result, error) {
 	best, bestCost := pickLeastExpected(cands, dm)
 	if best == nil {
-		return nil, fmt.Errorf("opt: algorithm A produced no candidates")
+		return nil, fmt.Errorf("opt: algorithm %s produced no candidates", alg)
 	}
-	res := &Result{Plan: best, Cost: bestCost, Count: counters}
+	res := &Result{Plan: best, Cost: bestCost, Count: o.Stats()}
 	deg.apply(res)
-	stampTrace(tr, res)
+	o.ctx.attachTrace(res)
 	return res, nil
 }
 
-// stampTrace attaches a multi-bucket session's trace snapshot to the
-// aggregated Result, stamping the final pick's outcome.
-func stampTrace(tr *obs.Trace, res *Result) {
-	if tr == nil {
-		return
-	}
-	tr.FinalCost = res.Cost
-	tr.Rung = res.Rung
-	if res.Degraded {
-		tr.Reason = res.Reason.String()
-	}
-	res.Trace = tr
-}
-
-// algorithmACandidatesCtx is the context-aware candidate generator behind
-// AlgorithmACtx. Budgets are metered against the session totals: once a
-// bucket degrades for an exogenous cause (deadline, budget) the remaining
-// buckets are skipped — they would only replay the greedy fallback.
-func algorithmACandidatesCtx(rc context.Context, cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) ([]plan.Node, Counters, *obs.Trace, degradeInfo, error) {
+// algorithmACandidates runs Algorithm A's bucket searches in a
+// bucketOptimizer session. Budgets are metered against the session totals:
+// once a bucket degrades for an exogenous cause (deadline, budget) the
+// remaining buckets are skipped — they would only replay the greedy
+// fallback.
+func (o *Optimizer) algorithmACandidates(rc context.Context, dm *stats.Dist) ([]plan.Node, degradeInfo, error) {
 	var deg degradeInfo
-	// The b per-bucket searches build the candidate pool; a greedy tier
-	// serving individual buckets would defeat the pool, so tiering applies
-	// at the strategy level, not here.
-	opts.Tier = TierDP
-	eng, err := NewOptimizer(cat, q, opts, Config{Coster: FixedParams{Mem: dm.Value(0)}})
-	if err != nil {
-		return nil, Counters{}, nil, deg, err
-	}
 	seen := map[string]bool{}
 	var cands []plan.Node
 	for i := 0; i < dm.Len(); i++ {
-		if err := eng.SetCoster(FixedParams{Mem: dm.Value(i)}); err != nil {
-			return nil, eng.Stats(), eng.traceSnapshot(), deg, err
+		if err := o.SetCoster(FixedParams{Mem: dm.Value(i)}); err != nil {
+			return nil, deg, err
 		}
-		res, err := eng.OptimizeCtx(rc)
+		res, err := o.OptimizeCtx(rc)
 		if err != nil {
-			if len(cands) > 0 && eng.ctx.stopped() {
+			if len(cands) > 0 && o.ctx.stopped() {
 				// The ladder itself failed for this bucket, but earlier
 				// buckets delivered: degrade rather than fail.
-				deg.note(eng.ctx.degradeReason(), RungPartial)
+				deg.note(o.ctx.degradeReason(), RungPartial)
 				break
 			}
-			return nil, eng.Stats(), eng.traceSnapshot(), deg, fmt.Errorf("opt: algorithm A at m=%v: %w", dm.Value(i), err)
+			return nil, deg, fmt.Errorf("opt: algorithm A at m=%v: %w", dm.Value(i), err)
 		}
 		key := res.Plan.Key()
 		if !seen[key] {
@@ -181,19 +215,7 @@ func algorithmACandidatesCtx(rc context.Context, cat *catalog.Catalog, q *query.
 			}
 		}
 	}
-	return cands, eng.Stats(), eng.traceSnapshot(), deg, nil
-}
-
-// traceSnapshot returns the session recorder's cumulative trace, or nil
-// when tracing is disabled. Multi-bucket sessions use it to surface one
-// trace spanning every bucket's search.
-func (o *Optimizer) traceSnapshot() *obs.Trace {
-	if o.ctx.trace == nil {
-		return nil
-	}
-	t := o.ctx.trace.Snapshot()
-	t.BucketErrBound = o.ctx.bucketErr.total()
-	return t
+	return cands, deg, nil
 }
 
 // runTopCGuarded is runTopC under the same recover discipline as the
@@ -214,51 +236,42 @@ func (o *Optimizer) runTopCGuarded(c int) (roots []topEntry, err error) {
 // AlgorithmBCtx is AlgorithmB under a request context and budget, with the
 // same shared-session budget semantics as AlgorithmACtx.
 func AlgorithmBCtx(rc context.Context, cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
-	cands, counters, tr, deg, err := algorithmBCandidatesCtx(rc, cat, q, opts, dm)
+	eng, err := bucketOptimizer(cat, q, opts, dm)
 	if err != nil {
 		return nil, err
 	}
-	best, bestCost := pickLeastExpected(cands, dm)
-	if best == nil {
-		return nil, fmt.Errorf("opt: algorithm B produced no candidates")
+	cands, deg, err := eng.algorithmBCandidates(rc, dm)
+	if err != nil {
+		return eng.Finish(nil, err)
 	}
-	res := &Result{Plan: best, Cost: bestCost, Count: counters}
-	deg.apply(res)
-	stampTrace(tr, res)
-	return res, nil
+	return eng.Finish(eng.pickBucketCandidate("B", cands, deg, dm))
 }
 
-// algorithmBCandidatesCtx generates Algorithm B's candidate pool under a
-// request context and budget. One beginRun arms the whole session: the stop
-// cause is sticky across buckets, so an interruption in bucket i halts
-// buckets i+1..b too. The anytime guarantee holds at the pool level — if the
-// interrupted search produced no finished root at all, the greedy fallback
-// contributes the guaranteed candidate.
-func algorithmBCandidatesCtx(rc context.Context, cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) ([]plan.Node, Counters, *obs.Trace, degradeInfo, error) {
+// algorithmBCandidates generates Algorithm B's candidate pool in a
+// bucketOptimizer session under a request context and budget. One beginRun
+// arms the whole session: the stop cause is sticky across buckets, so an
+// interruption in bucket i halts buckets i+1..b too. The anytime guarantee
+// holds at the pool level — if the interrupted search produced no finished
+// root at all, the greedy fallback contributes the guaranteed candidate.
+func (o *Optimizer) algorithmBCandidates(rc context.Context, dm *stats.Dist) ([]plan.Node, degradeInfo, error) {
 	var deg degradeInfo
-	// Same as algorithm A: the bucket searches never tier individually.
-	opts.Tier = TierDP
-	eng, err := NewOptimizer(cat, q, opts, Config{Coster: FixedParams{Mem: dm.Value(0)}})
-	if err != nil {
-		return nil, Counters{}, nil, deg, err
-	}
-	eng.ctx.beginRun(rc)
+	o.ctx.beginRun(rc)
 	// The session never passes through OptimizeCtx, so the run is flushed
 	// to the metrics bundle here, whatever path exits the bucket loop.
-	defer eng.ctx.flushMetrics()
-	c := eng.ctx.Opts.TopC
+	defer o.ctx.flushMetrics()
+	c := o.ctx.Opts.TopC
 	seen := map[string]bool{}
 	var cands []plan.Node
-	for i := 0; i < dm.Len() && !eng.ctx.stopped(); i++ {
-		if err := eng.SetCoster(FixedParams{Mem: dm.Value(i)}); err != nil {
-			return nil, eng.Stats(), eng.traceSnapshot(), deg, err
+	for i := 0; i < dm.Len() && !o.ctx.stopped(); i++ {
+		if err := o.SetCoster(FixedParams{Mem: dm.Value(i)}); err != nil {
+			return nil, deg, err
 		}
-		roots, err := eng.runTopCGuarded(c)
+		roots, err := o.runTopCGuarded(c)
 		if err != nil {
-			if eng.ctx.stopped() {
+			if o.ctx.stopped() {
 				break
 			}
-			return nil, eng.Stats(), eng.traceSnapshot(), deg, fmt.Errorf("opt: algorithm B at m=%v: %w", dm.Value(i), err)
+			return nil, deg, fmt.Errorf("opt: algorithm B at m=%v: %w", dm.Value(i), err)
 		}
 		for _, r := range roots {
 			if key := r.node.Key(); !seen[key] {
@@ -267,25 +280,25 @@ func algorithmBCandidatesCtx(rc context.Context, cat *catalog.Catalog, q *query.
 			}
 		}
 	}
-	if eng.ctx.stopped() {
-		deg.note(eng.ctx.degradeReason(), RungPartial)
+	if o.ctx.stopped() {
+		deg.note(o.ctx.degradeReason(), RungPartial)
 		if len(cands) == 0 {
-			fb, ferr := eng.fallbackGuarded()
+			fb, ferr := o.fallbackGuarded()
 			if ferr != nil {
-				return nil, eng.Stats(), eng.traceSnapshot(), deg, fmt.Errorf("%w (fallback also failed: %v)", causeOrBudget(eng.ctx.stopCause), ferr)
+				return nil, deg, fmt.Errorf("%w (fallback also failed: %v)", causeOrBudget(o.ctx.stopCause), ferr)
 			}
 			deg.rung = RungGreedy
 			cands = append(cands, fb.Plan)
 		}
-		eng.ctx.Count.Degradations++
-	} else if eng.ctx.sawNonFinite() {
+		o.ctx.Count.Degradations++
+	} else if o.ctx.sawNonFinite() {
 		if len(cands) == 0 {
-			return nil, eng.Stats(), eng.traceSnapshot(), deg, ErrNonFinite
+			return nil, deg, ErrNonFinite
 		}
 		deg.note(DegradeNonFinite, RungFull)
-		eng.ctx.Count.Degradations++
+		o.ctx.Count.Degradations++
 	}
-	return cands, eng.Stats(), eng.traceSnapshot(), deg, nil
+	return cands, deg, nil
 }
 
 // OptimizeWithAggregationCtx is OptimizeWithAggregation under a request
@@ -300,52 +313,59 @@ func OptimizeWithAggregationCtx(rc context.Context, cat *catalog.Catalog, q *que
 	if err := q.Validate(cat); err != nil {
 		return nil, err
 	}
-	cands, counters, deg, err := aggregateCandidatesCtx(rc, cat, q, opts, dm)
+	core := *q
+	core.OrderBy = nil
+	core.GroupBy = nil
+	ordered := core
+	ordered.OrderBy = q.GroupBy
+	bare, err := bucketOptimizer(cat, &core, opts, dm)
 	if err != nil {
 		return nil, err
+	}
+	grouped, err := bucketOptimizer(cat, &ordered, opts, dm)
+	if err != nil {
+		return bare.Finish(nil, err)
+	}
+	res, err := pickAggregate(rc, cat, q, dm, bare, grouped)
+	return grouped.Finish(res, err, bare)
+}
+
+// pickAggregate unions the two sessions' pools, with degradation
+// accumulated across both, and finishes the least expected cost candidate
+// with an aggregate.
+func pickAggregate(rc context.Context, cat *catalog.Catalog, q *query.SPJ, dm *stats.Dist, bare, grouped *Optimizer) (*Result, error) {
+	cands, deg, err := bare.algorithmBCandidates(rc, dm)
+	if err != nil {
+		return nil, err
+	}
+	moreCands, moreDeg, err := grouped.algorithmBCandidates(rc, dm)
+	if err != nil {
+		return nil, err
+	}
+	counters := bare.Stats()
+	counters.Add(grouped.Stats())
+	if moreDeg.degraded {
+		deg.note(moreDeg.reason, moreDeg.rung)
+	}
+	seen := map[string]bool{}
+	var pool []plan.Node
+	for _, c := range append(cands, moreCands...) {
+		if key := c.Key(); !seen[key] {
+			seen[key] = true
+			pool = append(pool, c)
+		}
 	}
 	groups, pages, err := groupEstimates(cat, q)
 	if err != nil {
 		return nil, err
 	}
-	best, bestCost := pickBestAggregate(q, cands, dm, groups, pages)
+	best, bestCost := pickBestAggregate(q, pool, dm, groups, pages)
 	if best == nil {
 		return nil, fmt.Errorf("opt: aggregation produced no plan")
 	}
 	res := &Result{Plan: best, Cost: bestCost, Count: counters}
 	deg.apply(res)
 	return res, nil
-}
-
-// aggregateCandidatesCtx unions the two pools with degradation accumulated
-// across both sessions.
-func aggregateCandidatesCtx(rc context.Context, cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) ([]plan.Node, Counters, degradeInfo, error) {
-	core := *q
-	core.OrderBy = nil
-	core.GroupBy = nil
-	cands, counters, _, deg, err := algorithmBCandidatesCtx(rc, cat, &core, opts, dm)
-	if err != nil {
-		return nil, counters, deg, err
-	}
-	ordered := core
-	ordered.OrderBy = q.GroupBy
-	moreCands, moreCounters, _, moreDeg, err := algorithmBCandidatesCtx(rc, cat, &ordered, opts, dm)
-	if err != nil {
-		return nil, counters, deg, err
-	}
-	counters.Add(moreCounters)
-	if moreDeg.degraded {
-		deg.note(moreDeg.reason, moreDeg.rung)
-	}
-	seen := map[string]bool{}
-	var out []plan.Node
-	for _, c := range append(cands, moreCands...) {
-		if key := c.Key(); !seen[key] {
-			seen[key] = true
-			out = append(out, c)
-		}
-	}
-	return out, counters, deg, nil
 }
 
 // pickBestAggregate finishes every candidate with both aggregate methods and

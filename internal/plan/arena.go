@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"fmt"
+
 	"repro/internal/cost"
 	"repro/internal/query"
 )
@@ -20,38 +22,164 @@ import (
 // method) into one uint64 — probed through an open-addressed table rather
 // than a runtime map, because the DP constructs thousands of candidates per
 // run and the map's per-entry buckets dominated the allocation profile.
-// Join nodes themselves are carved out of fixed-size slabs for the same
-// reason.
+// Join nodes and their predicate lists are carved out of fixed-size slabs
+// for the same reason.
+//
+// An arena lives for one session and is then Reset and reused by the next
+// one, so nothing it handed out may outlive the session: plans that leave
+// it are copied out with Detach first.
 type Arena struct {
-	table []arenaSlot // open-addressed, power-of-two length
-	count int         // interned joins
-	shift uint        // 64 - log2(len(table)); hash uses the top bits
-	hits  int
-
+	joins  internTable[Join]
+	sorts  internTable[Sort]
+	hits   int
 	nextID uint32 // last assigned node id (ids start at 1)
-	slab   []Join // tail of the current allocation chunk
 
-	sortTable []sortSlot // open-addressed, power-of-two length
-	sortCount int
-	sortShift uint
-	sortCols  []query.ColumnRef // distinct sort columns seen (almost always one)
-	sortSlab  []Sort
-}
-
-type arenaSlot struct {
-	key uint64 // 0 = empty
-	j   *Join
-}
-
-type sortSlot struct {
-	key uint64 // 0 = empty
-	s   *Sort
+	joinSlab slabs[Join]
+	sortSlab slabs[Sort]
+	preds    slabs[query.JoinPred]
+	sortCols []query.ColumnRef // distinct sort columns seen (almost always one)
 }
 
 const (
-	arenaInitSlots = 1 << 10
-	arenaSlabSize  = 256
+	joinInitSlots = 1 << 10
+	sortInitSlots = 1 << 8
+	joinSlabSize  = 256
+	sortSlabSize  = 64
+	predSlabSize  = 256
+
+	// arenaResetMaxSlots caps the intern tables an arena may keep across
+	// Reset. It bounds what a pooled arena holds on to: an arena a large
+	// session grew past the cap is dropped rather than reused.
+	arenaResetMaxSlots = 1 << 12
 )
+
+// internTable maps non-zero uint64 signatures to interned nodes: an
+// open-addressed, power-of-two slot array probed from a Fibonacci hash.
+// used lists the occupied slots, so reset costs O(count), not O(slots);
+// a table grown past arenaResetMaxSlots is never reset and stops tracking.
+type internTable[T any] struct {
+	slots []internSlot[T]
+	shift uint // 64 - log2(len(slots)); the hash uses the top bits
+	count int
+	used  []uint32
+}
+
+type internSlot[T any] struct {
+	key uint64 // 0 = empty
+	v   *T
+}
+
+// find returns the node interned under k, or nil and the slot where k
+// belongs.
+func (t *internTable[T]) find(k uint64, initSlots int) (*T, uint64) {
+	if t.slots == nil {
+		t.grow(initSlots)
+	}
+	mask := uint64(len(t.slots) - 1)
+	i := (k * 0x9e3779b97f4a7c15) >> t.shift
+	for {
+		s := &t.slots[i]
+		if s.key == k {
+			return s.v, i
+		}
+		if s.key == 0 {
+			return nil, i
+		}
+		i = (i + 1) & mask
+	}
+}
+
+// insert stores v under k in slot i, which find returned for k.
+func (t *internTable[T]) insert(i, k uint64, v *T) {
+	t.slots[i] = internSlot[T]{key: k, v: v}
+	if len(t.slots) <= arenaResetMaxSlots {
+		t.used = append(t.used, uint32(i))
+	}
+	t.count++
+	if t.count*4 >= len(t.slots)*3 {
+		t.grow(len(t.slots) * 2)
+	}
+}
+
+// grow rehashes the table into a new power-of-two slot array.
+func (t *internTable[T]) grow(slots int) {
+	old := t.slots
+	t.slots = make([]internSlot[T], slots)
+	t.shift = 64
+	for s := slots; s > 1; s >>= 1 {
+		t.shift--
+	}
+	track := slots <= arenaResetMaxSlots
+	if !track {
+		t.used = nil
+	}
+	t.used = t.used[:0]
+	mask := uint64(slots - 1)
+	for _, s := range old {
+		if s.key == 0 {
+			continue
+		}
+		i := (s.key * 0x9e3779b97f4a7c15) >> t.shift
+		for t.slots[i].key != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+		if track {
+			t.used = append(t.used, uint32(i))
+		}
+	}
+}
+
+// reset empties the table, keeping its slot array.
+func (t *internTable[T]) reset() {
+	for _, i := range t.used {
+		t.slots[i] = internSlot[T]{}
+	}
+	t.used = t.used[:0]
+	t.count = 0
+}
+
+// slabs hands out elements of fixed-size chunks. rewind makes the chunks
+// reusable without freeing them; it clears only what was handed out.
+type slabs[T any] struct {
+	chunks [][]T
+	cur    int // chunk being carved (meaningful once chunks is non-empty)
+	used   int // elements handed out of chunks[cur]
+}
+
+// carve returns n contiguous zeroed elements with capacity n, so an append
+// by the caller cannot run into the next carving. A request larger than a
+// chunk gets its own allocation.
+func (s *slabs[T]) carve(n, size int) []T {
+	if n > size {
+		return make([]T, n)
+	}
+	if len(s.chunks) == 0 || s.used+n > size {
+		if len(s.chunks) > 0 {
+			s.cur++
+		}
+		if s.cur == len(s.chunks) {
+			s.chunks = append(s.chunks, make([]T, size))
+		}
+		s.used = 0
+	}
+	out := s.chunks[s.cur][s.used : s.used+n : s.used+n]
+	s.used += n
+	return out
+}
+
+// rewind zeroes the handed-out elements and restarts carving at the first
+// chunk.
+func (s *slabs[T]) rewind() {
+	if len(s.chunks) == 0 {
+		return
+	}
+	for _, c := range s.chunks[:s.cur] {
+		clear(c)
+	}
+	clear(s.chunks[s.cur][:s.used])
+	s.cur, s.used = 0, 0
+}
 
 // NewArena returns an empty arena.
 func NewArena() *Arena { return &Arena{} }
@@ -88,28 +216,13 @@ func (a *Arena) joinKey(left, right Node, m cost.Method) uint64 {
 // Method set, and the caller must fill the estimate fields (Preds,
 // Selectivity, Pages, Rows) exactly once.
 func (a *Arena) Join(left, right Node, m cost.Method) (j *Join, isNew bool) {
-	if a.table == nil {
-		a.grow(arenaInitSlots)
-	}
 	k := a.joinKey(left, right, m)
-	mask := uint64(len(a.table) - 1)
-	i := (k * 0x9e3779b97f4a7c15) >> a.shift
-	for {
-		s := &a.table[i]
-		if s.key == k {
-			a.hits++
-			return s.j, false
-		}
-		if s.key == 0 {
-			break
-		}
-		i = (i + 1) & mask
+	j, i := a.joins.find(k, joinInitSlots)
+	if j != nil {
+		a.hits++
+		return j, false
 	}
-	if len(a.slab) == 0 {
-		a.slab = make([]Join, arenaSlabSize)
-	}
-	j = &a.slab[0]
-	a.slab = a.slab[1:]
+	j = &a.joinSlab.carve(1, joinSlabSize)[0]
 	j.Left, j.Right, j.Method = left, right, m
 	// Force the Rels memo while the arena still owns the node: under a
 	// parallel run the arena is lock-protected, but returned nodes are read
@@ -117,34 +230,8 @@ func (a *Arena) Join(left, right Node, m cost.Method) (j *Join, isNew bool) {
 	j.rels = left.Rels().Union(right.Rels())
 	a.nextID++
 	j.aid = a.nextID
-	a.table[i] = arenaSlot{key: k, j: j}
-	a.count++
-	if a.count*4 >= len(a.table)*3 {
-		a.grow(len(a.table) * 2)
-	}
+	a.joins.insert(i, k, j)
 	return j, true
-}
-
-// grow rehashes the table into a new power-of-two slot array.
-func (a *Arena) grow(slots int) {
-	old := a.table
-	a.table = make([]arenaSlot, slots)
-	shift := uint(64)
-	for s := slots; s > 1; s >>= 1 {
-		shift--
-	}
-	a.shift = shift
-	mask := uint64(slots - 1)
-	for _, s := range old {
-		if s.key == 0 {
-			continue
-		}
-		i := (s.key * 0x9e3779b97f4a7c15) >> shift
-		for a.table[i].key != 0 {
-			i = (i + 1) & mask
-		}
-		a.table[i] = s
-	}
 }
 
 // colIdx returns col's index in the distinct-column list, registering it on
@@ -163,63 +250,126 @@ func (a *Arena) colIdx(col query.ColumnRef) int {
 // Sort returns the canonical sort of input by col. isNew reports whether
 // this call created it; Input and Key_ are set either way.
 func (a *Arena) Sort(input Node, col query.ColumnRef) (s *Sort, isNew bool) {
-	if a.sortTable == nil {
-		a.growSorts(256)
-	}
 	k := uint64(a.id(input))<<8 | uint64(a.colIdx(col)) + 1
-	mask := uint64(len(a.sortTable) - 1)
-	i := (k * 0x9e3779b97f4a7c15) >> a.sortShift
-	for {
-		sl := &a.sortTable[i]
-		if sl.key == k {
-			a.hits++
-			return sl.s, false
-		}
-		if sl.key == 0 {
-			break
-		}
-		i = (i + 1) & mask
+	s, i := a.sorts.find(k, sortInitSlots)
+	if s != nil {
+		a.hits++
+		return s, false
 	}
-	if len(a.sortSlab) == 0 {
-		a.sortSlab = make([]Sort, 64)
-	}
-	s = &a.sortSlab[0]
-	a.sortSlab = a.sortSlab[1:]
+	s = &a.sortSlab.carve(1, sortSlabSize)[0]
 	s.Input, s.Key_ = input, col
 	a.nextID++
 	s.aid = a.nextID
-	a.sortTable[i] = sortSlot{key: k, s: s}
-	a.sortCount++
-	if a.sortCount*4 >= len(a.sortTable)*3 {
-		a.growSorts(len(a.sortTable) * 2)
-	}
+	a.sorts.insert(i, k, s)
 	return s, true
 }
 
-// growSorts rehashes the sort table into a new power-of-two slot array.
-func (a *Arena) growSorts(slots int) {
-	old := a.sortTable
-	a.sortTable = make([]sortSlot, slots)
-	shift := uint(64)
-	for s := slots; s > 1; s >>= 1 {
-		shift--
+// Preds returns a zeroed predicate list of length n for a join this arena
+// interned, carved from the arena's predicate slab.
+func (a *Arena) Preds(n int) []query.JoinPred {
+	return a.preds.carve(n, predSlabSize)
+}
+
+// Reset empties the arena for the next session: the intern tables are
+// cleared, the node and predicate slabs rewound, and ids restart at 1, at a
+// cost proportional to what the session interned. Reset reports false, and
+// leaves the arena as it is, when an intern table grew past
+// arenaResetMaxSlots; the caller should drop such an arena.
+func (a *Arena) Reset() bool {
+	if len(a.joins.slots) > arenaResetMaxSlots || len(a.sorts.slots) > arenaResetMaxSlots {
+		return false
 	}
-	a.sortShift = shift
-	mask := uint64(slots - 1)
-	for _, sl := range old {
-		if sl.key == 0 {
-			continue
-		}
-		i := (sl.key * 0x9e3779b97f4a7c15) >> shift
-		for a.sortTable[i].key != 0 {
-			i = (i + 1) & mask
-		}
-		a.sortTable[i] = sl
-	}
+	a.joins.reset()
+	a.sorts.reset()
+	a.joinSlab.rewind()
+	a.sortSlab.rewind()
+	a.preds.rewind()
+	clear(a.sortCols)
+	a.sortCols = a.sortCols[:0]
+	a.hits, a.nextID = 0, 0
+	return true
 }
 
 // Size returns the number of distinct nodes interned.
-func (a *Arena) Size() int { return a.count + a.sortCount }
+func (a *Arena) Size() int { return a.joins.count + a.sorts.count }
 
 // Hits returns how many node constructions were served from the arena.
 func (a *Arena) Hits() int { return a.hits }
+
+// Detach returns a deep copy of the plan rooted at n that shares no memory
+// and no ids with any arena: every Scan, Join, Sort and Aggregate is
+// copied, join predicate lists are cloned, and arena ids are cleared. A
+// plan that outlives its optimizer session must be detached, or it keeps
+// the session's slabs — losing candidates included — alive, and sees them
+// overwritten once the arena is reused. The copy's nodes come from a few
+// exactly sized allocations.
+func Detach(n Node) Node {
+	var d detacher
+	d.count(n)
+	d.scans = make([]Scan, 0, d.nScans)
+	d.joins = make([]Join, 0, d.nJoins)
+	d.sorts = make([]Sort, 0, d.nSorts)
+	d.preds = make([]query.JoinPred, 0, d.nPreds)
+	return d.copy(n)
+}
+
+// detacher backs one Detach: the counts size the backing slices, which are
+// then filled by appends that never reallocate.
+type detacher struct {
+	nScans, nJoins, nSorts, nPreds int
+
+	scans []Scan
+	joins []Join
+	sorts []Sort
+	preds []query.JoinPred
+}
+
+func (d *detacher) count(n Node) {
+	switch v := n.(type) {
+	case *Scan:
+		d.nScans++
+	case *Join:
+		d.nJoins++
+		d.nPreds += len(v.Preds)
+		d.count(v.Left)
+		d.count(v.Right)
+	case *Sort:
+		d.nSorts++
+		d.count(v.Input)
+	case *Aggregate:
+		d.count(v.Input)
+	default:
+		panic(fmt.Sprintf("plan: Detach of unknown node type %T", n))
+	}
+}
+
+func (d *detacher) copy(n Node) Node {
+	switch v := n.(type) {
+	case *Scan:
+		d.scans = append(d.scans, *v)
+		c := &d.scans[len(d.scans)-1]
+		c.aid = 0
+		return c
+	case *Join:
+		d.joins = append(d.joins, *v)
+		c := &d.joins[len(d.joins)-1]
+		c.aid = 0
+		c.Left, c.Right = d.copy(v.Left), d.copy(v.Right)
+		if v.Preds != nil {
+			start := len(d.preds)
+			d.preds = append(d.preds, v.Preds...)
+			c.Preds = d.preds[start:len(d.preds):len(d.preds)]
+		}
+		return c
+	case *Sort:
+		d.sorts = append(d.sorts, *v)
+		c := &d.sorts[len(d.sorts)-1]
+		c.aid = 0
+		c.Input = d.copy(v.Input)
+		return c
+	default: // *Aggregate; count rejected anything else
+		a := *n.(*Aggregate)
+		a.Input = d.copy(a.Input)
+		return &a
+	}
+}

@@ -483,7 +483,7 @@ func (o *Optimizer) OptimizeSearchContext(ctx context.Context, q *query.SPJ, env
 	if err != nil {
 		return nil, classifyErr(err)
 	}
-	res, err := eng.OptimizeCtx(ctx)
+	res, err := eng.Finish(eng.OptimizeCtx(ctx))
 	if err != nil {
 		return nil, classifyErr(err)
 	}
