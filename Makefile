@@ -28,10 +28,10 @@ build:
 test:
 	$(GO) test ./...
 
-# The unified engine shares memo tables and a plan arena across runs, and
-# the level-synchronized parallel driver shares both across worker
-# goroutines; run the optimizer package at -cpu 1,4 so the parallel DP's
-# locking is exercised both starved and oversubscribed.
+# Every search is sequential, but concurrent sessions still share the plan
+# arena pool, the metrics bundle and the fault injector; run the optimizer
+# package at -cpu 1,4 so those are exercised both starved and
+# oversubscribed.
 race:
 	$(GO) test -race -cpu 1,4 ./internal/opt
 	$(GO) test -race ./lec
@@ -58,9 +58,7 @@ fleet-chaos:
 	LEC_CHAOS_ROUNDS=$(CHAOS_ROUNDS) $(GO) test -race -run TestFleetChaosSoak -v ./internal/fleet
 
 # -cpu=1 pins GOMAXPROCS so ns/op is comparable across hosts and against
-# the checked-in baseline (BenchmarkDPCoreParallel sizes its worker pool
-# from GOMAXPROCS). For the multi-core scaling sweep run
-# `go test -bench=BenchmarkDPCoreParallel -cpu 1,2,4 ./internal/opt`.
+# the checked-in baseline.
 bench:
 	$(GO) test -bench='BenchmarkDPCore|BenchmarkTieredPlanning' -benchmem -cpu=1 -run=^$$ ./internal/opt
 

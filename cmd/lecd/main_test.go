@@ -204,6 +204,10 @@ func TestHealthReadyStatsEndpoints(t *testing.T) {
 	if st.Requests < 1 || st.Optimizations < 1 {
 		t.Errorf("stats = %+v, want at least one request and optimization", st)
 	}
+	// lecdbench compares this field between lecd and its in-process replay.
+	if st.ConfiguredParallelism != 1 {
+		t.Errorf("ConfiguredParallelism = %d, want 1 (the search is sequential)", st.ConfiguredParallelism)
+	}
 }
 
 func TestDrainFlipsReadiness(t *testing.T) {

@@ -3,8 +3,10 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"sort"
 
@@ -16,6 +18,12 @@ import (
 // snapshotVersion is bumped whenever the snapshot schema changes; a
 // mismatched file is a cold start, never a parse attempt.
 const snapshotVersion = 1
+
+// ErrSnapshotTooLarge reports a snapshot file over maxWireBytes, the bound
+// every warm-set message is read under. A full default warm set (1024 specs
+// of ~2 KiB JSON, indented as SaveSnapshot writes it) is about 3 MiB, so an
+// oversize file is damage or not a snapshot; loading it is a cold start.
+var ErrSnapshotTooLarge = errors.New("fleet: snapshot too large")
 
 // snapshotFile is the on-disk warm-start format. It deliberately stores
 // *requests*, not plans: each entry is the canonical SQL plus strategy and
@@ -172,8 +180,8 @@ func (n *Node) saveSnapshot() error {
 
 // LoadSnapshot warm-starts the plan cache from SnapshotPath, replaying each
 // recorded request through the local optimizer. Every failure mode — no
-// file, unreadable file, corrupt JSON, version or catalog-fingerprint
-// mismatch, injected fault — is a counted cold start, never a boot failure:
+// file, unreadable or oversize file, corrupt JSON, version or
+// catalog-fingerprint mismatch, injected fault — is a counted cold start, never a boot failure:
 // the returned error is diagnostic. Replay runs sequentially under
 // ReplayTimeout per entry; individual entry failures are skipped.
 func (n *Node) LoadSnapshot(ctx context.Context) (replayed int, err error) {
@@ -233,19 +241,27 @@ func (n *Node) LoadSnapshot(ctx context.Context) (replayed int, err error) {
 	return replayed, nil
 }
 
-// readSnapshot loads and validates the snapshot file. (nil, nil) means no
-// file exists.
+// readSnapshot loads and validates the snapshot file, reading at most
+// maxWireBytes of it. (nil, nil) means no file exists.
 func (n *Node) readSnapshot() (*snapshotFile, error) {
 	switch faultinject.Check(faultinject.FleetSnapshot) {
 	case faultinject.KindDrop:
 		return nil, fmt.Errorf("fleet: snapshot load dropped (injected)")
 	}
-	data, err := os.ReadFile(n.cfg.SnapshotPath)
+	fh, err := os.Open(n.cfg.SnapshotPath)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("fleet: snapshot unreadable: %w", err)
+	}
+	defer fh.Close()
+	data, err := io.ReadAll(io.LimitReader(fh, maxWireBytes+1))
+	if err != nil {
+		return nil, fmt.Errorf("fleet: snapshot unreadable: %w", err)
+	}
+	if len(data) > maxWireBytes {
+		return nil, fmt.Errorf("%w: over %d bytes", ErrSnapshotTooLarge, maxWireBytes)
 	}
 	var f snapshotFile
 	if err := json.Unmarshal(data, &f); err != nil {

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -78,6 +79,30 @@ func TestCorruptSnapshotColdStarts(t *testing.T) {
 	replayed, err := n.LoadSnapshot(context.Background())
 	if err == nil || replayed != 0 {
 		t.Fatalf("corrupt snapshot loaded: replayed=%d err=%v", replayed, err)
+	}
+	if got := n.c.snapshotLoadFailures.Load(); got != 1 {
+		t.Errorf("snapshotLoadFailures = %d, want 1", got)
+	}
+	rep, oerr := n.Optimize(context.Background(), exampleRequest())
+	if oerr != nil || rep.Local == nil {
+		t.Fatalf("cold-started node cannot serve: %v", oerr)
+	}
+}
+
+// TestOversizeSnapshotColdStarts: a snapshot file past maxWireBytes is not
+// read to the end: boot reports ErrSnapshotTooLarge as a counted cold start
+// and serves normally after.
+func TestOversizeSnapshotColdStarts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "snap.json")
+	// Valid JSON up to the bound, so only the size can refuse it.
+	body := `{"version": 1, "entries": [], "saved_by": "` + strings.Repeat("x", maxWireBytes) + `"}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n := soloNode(t, path)
+	replayed, err := n.LoadSnapshot(context.Background())
+	if !errors.Is(err, ErrSnapshotTooLarge) || replayed != 0 {
+		t.Fatalf("oversize snapshot: replayed=%d err=%v, want ErrSnapshotTooLarge", replayed, err)
 	}
 	if got := n.c.snapshotLoadFailures.Load(); got != 1 {
 		t.Errorf("snapshotLoadFailures = %d, want 1", got)

@@ -31,9 +31,6 @@ func arenaReuseRuns() []arenaReuseRun {
 		{name: "C/sequential", run: func(cat *catalog.Catalog, q *query.SPJ, dm *stats.Dist) (*Result, error) {
 			return AlgorithmCCtx(bg, cat, q, Options{}, dm)
 		}},
-		{name: "C/parallel-4", run: func(cat *catalog.Catalog, q *query.SPJ, dm *stats.Dist) (*Result, error) {
-			return AlgorithmCCtx(bg, cat, q, Options{Parallelism: 4}, dm)
-		}},
 		{name: "C/tier-auto", run: func(cat *catalog.Catalog, q *query.SPJ, dm *stats.Dist) (*Result, error) {
 			return AlgorithmCCtx(bg, cat, q, Options{Tier: TierAuto, Enumeration: EnumConnected}, dm)
 		}, check: func(r *Result) error {

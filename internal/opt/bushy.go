@@ -57,8 +57,7 @@ func (o *Optimizer) runBushy() (*Result, error) {
 // solveBushy solves one lattice node of the all-splits DP: every canonical
 // split of s priced in both operand orders, and — at the full set — the
 // finished root candidates. Like solveLeftDeep it reads only fully-solved
-// lower levels of best and writes nothing shared. The bushy DP records no
-// trace events.
+// lower levels of best. The bushy DP records no trace events.
 func (o *Optimizer) solveBushy(ctx *Context, pr stepPricer, bp batchStepPricer, best *dpTab, s query.RelSet, d int, full query.RelSet) subsetResult {
 	res := subsetResult{entry: dpEntry{cost: math.Inf(1)}, rootBest: dpEntry{cost: math.Inf(1)}}
 	if !ctx.visitSubset() {
@@ -119,7 +118,7 @@ func (o *Optimizer) solveBushy(ctx *Context, pr stepPricer, bp batchStepPricer, 
 	return res
 }
 
-// finishBushy is the bushy drivers' shared epilogue.
+// finishBushy is the bushy driver's epilogue.
 func (o *Optimizer) finishBushy(ctx *Context, rootBest dpEntry, rootFound bool) (*Result, error) {
 	if ctx.stopped() {
 		if rootFound {

@@ -46,8 +46,6 @@ import (
 type Options struct {
 	// Methods is the set of join algorithms to consider; nil means all.
 	Methods []cost.Method
-	// DisableIndexScans restricts access paths to sequential scans.
-	DisableIndexScans bool
 	// AvoidCrossProducts skips join steps with no connecting predicate
 	// whenever the subset has some connected extension — the standard
 	// System R heuristic. Disabled by default so that the dynamic programs
@@ -76,9 +74,6 @@ type Options struct {
 	// root candidate are captured on Result.Trace. Off by default — when
 	// off, the search pays a single nil check per subset.
 	Trace bool
-	// TraceCap bounds the trace's event ring buffer; 0 means
-	// obs.DefaultTraceCap. Root candidates are bounded separately.
-	TraceCap int
 	// Metrics, when non-nil, receives per-run phase timings and counter
 	// deltas (see obs.NewOptMetrics). Off by default; safe to share across
 	// engines and goroutines.
@@ -93,15 +88,6 @@ type Options struct {
 	// bushy and top-c lattice sweeps; the pipelined space and the
 	// exhaustive oracles are unaffected.
 	Enumeration Enumeration
-	// Parallelism is the worker count of the level-synchronized parallel
-	// search (see pardp.go). 0 or 1 runs the classical sequential DP; N ≥ 2
-	// partitions each lattice level's subsets across min(N, subsets)
-	// workers. Any value produces byte-identical plans, costs, Stats and
-	// traces for runs that complete without interruption; only budget/
-	// cancellation *trip points* can differ under N ≥ 2, because the shared
-	// meters advance in schedule order. Algorithm B's top-c search and the
-	// pipelined space always run sequentially.
-	Parallelism int
 	// Tier selects the tiered-planning mode (see tier.go): TierDP (the zero
 	// value — always run the configured DP search), TierAuto (serve the
 	// greedy fast path when its risk signals clear the TierRisk thresholds,
@@ -162,8 +148,8 @@ type Counters struct {
 	// Subsets counts lattice nodes (relation subsets) the search visited.
 	Subsets int
 	// SubsetsEnumerated counts lattice nodes the enumerator emitted to the
-	// level sweeps (before budget/cancellation gating). Equal across
-	// Parallelism settings; under EnumExhaustive it approaches 2^n.
+	// level sweeps (before budget/cancellation gating). Under
+	// EnumExhaustive it approaches 2^n.
 	SubsetsEnumerated int
 	// SubsetsSkipped counts lattice nodes the connected enumerator pruned
 	// without a visit — per level, C(n,d) minus the connected subsets
@@ -253,9 +239,7 @@ type Context struct {
 	// enumeration state (see enum.go): the effective enumerator (requested
 	// EnumConnected degrades to EnumExhaustive on disconnected graphs), the
 	// cached connected-subgraph levels, and the predicted table sizing the
-	// memos and DP tables are allocated from. The csg cache is only mutated
-	// by the drivers' level sweeps (never inside worker solvers), so shells
-	// can share it without locking.
+	// memos and DP tables are allocated from.
 	enumEff Enumeration
 	csg     *query.CsgEnum
 	sizing  memoSizing
@@ -278,20 +262,12 @@ type Context struct {
 	pollCountdown int
 	nonFiniteMark int
 
-	// par points at the shared state of a level-synchronized parallel run
-	// (see pardp.go); nil in sequential mode, so the hot paths pay one nil
-	// check. Worker shells share the root's par, memos and arena; their
-	// private fields (Count, marks) shard the instrumentation.
-	par           *parRun
-	parEvalMark   int // CostEvals already published to par.evals
-	parSubsetMark int // Subsets already published to par.subsets
-
 	// observability state (see obs.go): the decision-trace recorder (nil
 	// unless Options.Trace), the metrics bundle (nil unless
 	// Options.Metrics), per-run timing accumulators (pricer calls, the
 	// sampled subset of them and its summed duration — see costStart), and
 	// the per-subset equi-depth bucketing error contributions (summed in
-	// ascending subset order, so the session total is schedule-independent).
+	// ascending subset order).
 	trace            *obs.Recorder
 	metrics          *obs.OptMetrics
 	obsWant          bool // metrics or trace enabled — session-constant
@@ -339,7 +315,7 @@ func NewContext(cat *catalog.Catalog, q *query.SPJ, opts Options) (*Context, err
 		arena:     arenaPool.Get().(*plan.Arena),
 	}
 	if ctx.Opts.Trace {
-		ctx.trace = obs.NewRecorder(ctx.Opts.TraceCap)
+		ctx.trace = obs.NewRecorder(0)
 	}
 	ctx.metrics = ctx.Opts.Metrics
 	ctx.obsWant = ctx.metrics != nil || ctx.trace != nil
@@ -439,8 +415,7 @@ func (ctx *Context) buildJoinIndex() {
 
 // stepPreds returns the predicates connecting relation j to subset s —
 // query.JoinsBetween(s, j) computed from the session index — in a list
-// carved from the session arena (the caller holds the arena lock in a
-// parallel run).
+// carved from the session arena.
 func (ctx *Context) stepPreds(s query.RelSet, j int) []query.JoinPred {
 	cnt := 0
 	for _, rp := range ctx.relPreds[j] {
@@ -498,9 +473,6 @@ func (ctx *Context) buildScans(i int, tab *catalog.Table) []*plan.Scan {
 		Selectivity: localSel,
 		Pages:       ctx.basePages[i], Rows: ctx.baseRows[i],
 	}}
-	if ctx.Opts.DisableIndexScans {
-		return out
-	}
 	for _, idx := range tab.Indexes {
 		// Index is useful if its column has a filter, or if it can deliver
 		// the ORDER BY order (clustered only — a non-clustered full traversal
@@ -556,19 +528,8 @@ func (ctx *Context) BestScan(i int) *plan.Scan {
 
 // SubsetRows returns the estimated row count of ⋈_{i∈S} A_i: the product of
 // the filtered base cardinalities and the selectivities of every join
-// predicate internal to S. It is independent of join order. In a parallel
-// run the shared memo is guarded by the run's memo lock; the compute-once
-// discipline keeps MemoHits totals schedule-independent (hits = calls −
-// distinct subsets, however calls interleave).
+// predicate internal to S. It is independent of join order.
 func (ctx *Context) SubsetRows(s query.RelSet) float64 {
-	if p := ctx.par; p != nil {
-		p.memoMu.Lock()
-		defer p.memoMu.Unlock()
-	}
-	return ctx.subsetRowsLocked(s)
-}
-
-func (ctx *Context) subsetRowsLocked(s query.RelSet) float64 {
 	if r, ok := ctx.subsetRows.get(s); ok {
 		ctx.Count.MemoHits++
 		return r
@@ -598,19 +559,11 @@ func (ctx *Context) SubsetPPR(s query.RelSet) float64 {
 
 // SubsetPages returns the estimated result size in pages.
 func (ctx *Context) SubsetPages(s query.RelSet) float64 {
-	if p := ctx.par; p != nil {
-		p.memoMu.Lock()
-		defer p.memoMu.Unlock()
-	}
-	return ctx.subsetPagesLocked(s)
-}
-
-func (ctx *Context) subsetPagesLocked(s query.RelSet) float64 {
 	if p, ok := ctx.subsetPages.get(s); ok {
 		ctx.Count.MemoHits++
 		return p
 	}
-	pages := ctx.subsetRowsLocked(s) * ctx.SubsetPPR(s)
+	pages := ctx.SubsetRows(s) * ctx.SubsetPPR(s)
 	if s.Len() == 1 {
 		pages = ctx.basePages[s.Single()]
 	}
@@ -628,28 +581,10 @@ func (ctx *Context) subsetPagesLocked(s query.RelSet) float64 {
 // which the DP does once per lattice extension, and Algorithms A/B once per
 // memory bucket on top of that.
 func (ctx *Context) NewJoin(left plan.Node, right *plan.Scan, m cost.Method, s query.RelSet, j int) *plan.Join {
-	var jn *plan.Join
-	var isNew bool
-	if p := ctx.par; p != nil {
-		// The lock covers only the intern probe and the predicate carving.
-		// Filling the estimate fields outside it is safe: within a level
-		// exactly one task interns each candidate structure (a left-deep
-		// node's (S\{j}, j, method) key determines S), so no other worker
-		// touches a node until the level barrier publishes it.
-		p.arenaMu.Lock()
-		jn, isNew = ctx.arena.Join(left, right, m)
-		if isNew {
-			jn.Preds = ctx.stepPreds(s.Without(j), j)
-		}
-		p.arenaMu.Unlock()
-	} else {
-		jn, isNew = ctx.arena.Join(left, right, m)
-		if isNew {
-			jn.Preds = ctx.stepPreds(s.Without(j), j)
-		}
-	}
+	jn, isNew := ctx.arena.Join(left, right, m)
 	if isNew {
 		ctx.Count.PlansBuilt++
+		jn.Preds = ctx.stepPreds(s.Without(j), j)
 		jn.Selectivity = ctx.stepSel(s.Without(j), j)
 		jn.Pages = ctx.SubsetPages(s)
 		jn.Rows = ctx.SubsetRows(s)
@@ -685,12 +620,7 @@ func (ctx *Context) FinishPlan(n plan.Node) (plan.Node, bool) {
 	if ctx.Q.OrderBy == nil || plan.SatisfiesOrder(n, *ctx.Q.OrderBy) {
 		return n, false
 	}
-	col := *ctx.Q.OrderBy
-	if p := ctx.par; p != nil {
-		p.arenaMu.Lock()
-		defer p.arenaMu.Unlock()
-	}
-	st, isNew := ctx.arena.Sort(n, col)
+	st, isNew := ctx.arena.Sort(n, *ctx.Q.OrderBy)
 	if isNew {
 		ctx.Count.PlansBuilt++
 	}

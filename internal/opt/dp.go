@@ -87,9 +87,9 @@ type dpEntry struct {
 
 // winStep identifies a subset's winning join without materializing it: the
 // operands and method of the cheapest candidate. The node itself is interned
-// by applySubset during the (single-threaded, task-ordered) merge, which
-// keeps the plan arena — and its lock — entirely out of the workers' solve
-// loops. scan is set for left-deep winners, right for bushy ones.
+// by applySubset, so each subset interns exactly one winner however many
+// candidates it priced. scan is set for left-deep winners, right for bushy
+// ones.
 type winStep struct {
 	left  plan.Node
 	right plan.Node
@@ -103,9 +103,8 @@ func (w *winStep) found() bool { return w.scan != nil || w.right != nil }
 // subsetResult is everything solving one lattice node produces: the best DP
 // entry (cost in entry, node deferred to win), the trace artifacts (the
 // subset's decision event and, at the full set, the finished root candidates
-// in consideration order), and the best finished root. Solvers write nothing
-// shared — the driver applies results in subset order, which is what lets
-// the parallel driver replay the sequential walk byte for byte.
+// in consideration order), and the best finished root. The driver applies
+// results in subset order.
 type subsetResult struct {
 	entry     dpEntry
 	win       winStep
@@ -119,16 +118,12 @@ type subsetResult struct {
 // solveLeftDeep solves one lattice node of the left-deep DP: the best
 // extension of every solved S\{j} by relation j, and — at the full set —
 // the finished root candidates with the ORDER BY sort charged. It reads
-// only fully-solved lower levels of best; ctx is the calling worker's
-// context (the root's in sequential mode, a shell in parallel mode).
+// only fully-solved lower levels of best.
 func (o *Optimizer) solveLeftDeep(ctx *Context, pr stepPricer, bp batchStepPricer, best *dpTab, s query.RelSet, d int, full query.RelSet) subsetResult {
 	res := subsetResult{entry: dpEntry{cost: math.Inf(1)}, rootBest: dpEntry{cost: math.Inf(1)}}
 	if !ctx.visitSubset() {
 		return res
 	}
-	// Gate trace work on the option, not the recorder: parallel worker
-	// shells carry a nil recorder (the root flushes their events), but must
-	// still produce them.
 	wantTrace := ctx.Opts.Trace
 	var tw traceWatch
 	if wantTrace {
@@ -209,9 +204,9 @@ func (o *Optimizer) solveLeftDeep(ctx *Context, pr stepPricer, bp batchStepPrice
 // artifacts are flushed to the root recorder (candidates first, then the
 // decision event — the order the sequential walk emits them), the winning
 // join is interned and the DP table gains the entry, and the best finished
-// root is folded in. Called in subset order by both drivers; interning here
-// rather than in the solvers keeps the arena out of the parallel workers'
-// loops and makes PlansBuilt/MemoHits totals trivially schedule-independent.
+// root is folded in. Called in subset order by both spaces' drivers;
+// interning only the winner here keeps PlansBuilt and ArenaHits at one node
+// per solved subset.
 func applySubset(ctx *Context, best *dpTab, s query.RelSet, r *subsetResult, rootBest *dpEntry, rootFound *bool) {
 	if tr := ctx.trace; tr != nil {
 		for _, rc := range r.roots {
@@ -271,7 +266,7 @@ func (o *Optimizer) runLeftDeep() (*Result, error) {
 	return o.finishLeftDeep(ctx, pr, best, full, n, rootBest, rootFound)
 }
 
-// finishLeftDeep is the left-deep drivers' shared epilogue: the anytime
+// finishLeftDeep is the left-deep driver's epilogue: the anytime
 // salvage paths when the run was interrupted, the naive-order ablation, and
 // the normal order-aware return.
 func (o *Optimizer) finishLeftDeep(ctx *Context, pr stepPricer, best *dpTab, full query.RelSet, n int, rootBest dpEntry, rootFound bool) (*Result, error) {

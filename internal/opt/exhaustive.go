@@ -175,17 +175,7 @@ func ExhaustiveBushy(cat *catalog.Catalog, q *query.SPJ, opts Options, objective
 
 // newBushyJoin returns the (interned) join of two arbitrary subtrees.
 func (ctx *Context) newBushyJoin(left, right plan.Node, m cost.Method, s query.RelSet) *plan.Join {
-	var jn *plan.Join
-	var isNew bool
-	if p := ctx.par; p != nil {
-		// Intern-probe-only lock; see NewJoin. A bushy node's (l, r, method)
-		// key determines S = l ∪ r, so one task per level owns each node.
-		p.arenaMu.Lock()
-		jn, isNew = ctx.arena.Join(left, right, m)
-		p.arenaMu.Unlock()
-	} else {
-		jn, isNew = ctx.arena.Join(left, right, m)
-	}
+	jn, isNew := ctx.arena.Join(left, right, m)
 	if isNew {
 		ctx.Count.PlansBuilt++
 		jn.Preds = ctx.predsBetween(left.Rels(), right.Rels())

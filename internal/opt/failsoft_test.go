@@ -17,6 +17,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/query"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // failsoftConfigs enumerates the strategy × space grid the fault matrix
@@ -449,5 +450,69 @@ func TestSingleRelationFailsoft(t *testing.T) {
 	}
 	if res.Plan == nil {
 		t.Fatal("no plan for single relation")
+	}
+}
+
+// TestParallelFaultMatrix: every injected fault kind (poisoned costs, a
+// coster panic, cancellation) under the exhaustive enumerator and both DP
+// spaces must end with a valid finished plan (possibly degraded) or a typed
+// error, and must never hang. The name is kept from when the matrix ran at
+// Parallelism 4; every search is sequential now.
+func TestParallelFaultMatrix(t *testing.T) {
+	runFaultMatrix(t, EnumExhaustive, 7301, 6, 0)
+}
+
+// TestParallelFaultMatrixConnected repeats the fault matrix with the
+// connected enumerator on a cycle, so the csg sweep really prunes subsets
+// while the faults fire.
+func TestParallelFaultMatrixConnected(t *testing.T) {
+	runFaultMatrix(t, EnumConnected, 9401, 7, workload.Cycle)
+}
+
+func runFaultMatrix(t *testing.T, enum Enumeration, seed int64, n int, shape workload.Topology) {
+	dm := stats.MustNew([]float64{200, 900, 4000}, []float64{0.3, 0.4, 0.3})
+	faults := map[string]faultinject.Rule{
+		"nan":    {Site: faultinject.JoinCost, Kind: faultinject.KindNaN, After: 3, Every: 5},
+		"inf":    {Site: faultinject.JoinCost, Kind: faultinject.KindInf, After: 3, Every: 5},
+		"panic":  {Site: faultinject.JoinCost, Kind: faultinject.KindPanic, After: 10},
+		"cancel": {Site: faultinject.JoinCost, Kind: faultinject.KindCancel, After: 15},
+	}
+	for fname, rule := range faults {
+		for _, space := range []Space{SpaceLeftDeep, SpaceBushy} {
+			t.Run(fname+"/"+space.String(), func(t *testing.T) {
+				cat, q := randInstance(t, seed, n, shape, true)
+				eng, err := NewOptimizer(cat, q, Options{Enumeration: enum, Trace: true},
+					Config{Space: space, Coster: StaticParams{Mem: dm}})
+				if err != nil {
+					t.Fatalf("NewOptimizer: %v", err)
+				}
+				rc, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				in := faultinject.New(1, rule)
+				in.OnCancel(cancel)
+				faultinject.Enable(in)
+				defer faultinject.Disable()
+
+				done := make(chan struct{})
+				var res *Result
+				var oerr error
+				go func() {
+					res, oerr = eng.OptimizeCtx(rc)
+					close(done)
+				}()
+				select {
+				case <-done:
+				case <-time.After(30 * time.Second):
+					t.Fatal("run hung under fault injection")
+				}
+				if in.Hits(faultinject.JoinCost) == 0 {
+					t.Fatal("the fault site was never reached")
+				}
+				if oerr != nil {
+					return // typed failure is acceptable for total poisoning
+				}
+				checkValidPlan(t, res, q, fname)
+			})
+		}
 	}
 }

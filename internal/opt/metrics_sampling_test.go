@@ -4,9 +4,9 @@ package opt
 // (obs.go, costStart). These tests pin the two contracts that make the
 // sampling safe to serve: turning metrics on changes neither the plan nor
 // any counter, and the clock is read at most once per costSampleStride
-// pricer calls (plus the forced first sample of each worker shell) — a
-// deterministic gate, so a regression to per-evaluation timing fails
-// without any wall-clock assertion. The phase-split test checks that the
+// pricer calls (plus the forced first sample) — a deterministic gate, so
+// a regression to per-evaluation timing fails without any wall-clock
+// assertion. The phase-split test checks that the
 // sampled estimate still yields 0 ≤ bucketing ≤ costing ≤ total.
 
 import (
@@ -21,6 +21,42 @@ import (
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
+
+// gridConfigs enumerates every valid engine configuration over a shared
+// memory distribution (MultiParams only prices expected cost; the pipelined
+// space is covered by the golden instances).
+func gridConfigs(dm *stats.Dist) map[string]Config {
+	chain := stats.MustNewChain(dm.Support(), [][]float64{
+		{0.7, 0.2, 0.1},
+		{0.2, 0.6, 0.2},
+		{0.1, 0.2, 0.7},
+	})
+	costers := map[string]Coster{
+		"fixed":  FixedParams{Mem: dm.Mean()},
+		"static": StaticParams{Mem: dm},
+		"phased": PhasedParams{Phases: []*stats.Dist{dm, dm.Scale(0.5), dm.Scale(2)}},
+		"markov": MarkovParams{Chain: chain, Initial: dm},
+		"multi":  MultiParams{Mem: dm},
+	}
+	objectives := map[string]Objective{
+		"expcost": ExpectedCost{},
+		"ceq":     ExponentialUtility{Gamma: 1e-5},
+		"mv":      VariancePenalized{Lambda: 1e-7},
+	}
+	spaces := map[string]Space{"leftdeep": SpaceLeftDeep, "bushy": SpaceBushy}
+	out := map[string]Config{}
+	for sn, sp := range spaces {
+		for cn, co := range costers {
+			for on, ob := range objectives {
+				if cn == "multi" && on != "expcost" {
+					continue // rejected by Config.validate
+				}
+				out[sn+"/"+cn+"/"+on] = Config{Space: sp, Coster: co, Objective: ob}
+			}
+		}
+	}
+	return out
+}
 
 // checkMetricsNeutral runs cfg once with Options.Metrics nil and once with a
 // fresh bundle, requires byte-identical plans, costs and counters, and
@@ -58,13 +94,9 @@ func checkMetricsNeutral(t *testing.T, name string, cat *catalog.Catalog, q *que
 		t.Errorf("%s: metrics-off run counted %d pricer calls, %d samples", name, offEng.ctx.costCalls, offEng.ctx.costSamples)
 	}
 	c := onEng.ctx
-	// Each shell samples its first call and every stride-th after it: at
-	// most calls/stride + 1 per shell, the root plus one per worker.
-	shells := 1
-	if w := onEng.workerCount(); w > 1 {
-		shells += w
-	}
-	if max := c.costCalls/costSampleStride + shells; c.costSamples > max {
+	// The first call and every stride-th after it is sampled: at most
+	// calls/stride + 1 samples.
+	if max := c.costCalls/costSampleStride + 1; c.costSamples > max {
 		t.Errorf("%s: %d clock samples over %d pricer calls, want ≤ %d", name, c.costSamples, c.costCalls, max)
 	}
 	if c.costCalls > 0 && c.costSamples == 0 {
@@ -73,7 +105,7 @@ func checkMetricsNeutral(t *testing.T, name string, cat *catalog.Catalog, q *que
 }
 
 // TestMetricsDoNotChangePlanOrWork runs the golden-reference instances and
-// the parallel-determinism grid with metrics off and on.
+// the Space × Coster × Objective grid with metrics off and on.
 func TestMetricsDoNotChangePlanOrWork(t *testing.T) {
 	runs := 0
 	for i := 0; i < 25; i++ {
@@ -110,14 +142,12 @@ func TestMetricsDoNotChangePlanOrWork(t *testing.T) {
 		}
 	}
 	dm := stats.MustNew([]float64{200, 900, 4000}, []float64{0.3, 0.4, 0.3})
-	for name, cfg := range parGridConfigs(dm) {
+	for name, cfg := range gridConfigs(dm) {
 		for _, seed := range []int64{7101, 7102} {
 			n := 6 + int(seed-7101)
 			cat, q := randInstance(t, seed, n, 0, true)
-			for _, par := range []int{1, 2, 4} {
-				checkMetricsNeutral(t, fmt.Sprintf("%s seed %d P=%d", name, seed, par), cat, q, Options{Trace: true, Parallelism: par}, cfg)
-				runs++
-			}
+			checkMetricsNeutral(t, fmt.Sprintf("%s seed %d", name, seed), cat, q, Options{Trace: true}, cfg)
+			runs++
 		}
 	}
 	t.Logf("%d metrics off/on pairs", runs)
@@ -126,7 +156,7 @@ func TestMetricsDoNotChangePlanOrWork(t *testing.T) {
 // TestMetricsPhaseSplitConsistent checks 0 ≤ bucketing ≤ costing ≤ total
 // on the registry's histogram sums (total = enumeration + costing, so the
 // upper bound is enumeration ≥ 0) for Algorithm D — the only coster that
-// buckets — and Algorithm C sequentially and in parallel, and that a run
+// buckets — and Algorithm C, and that a run
 // with at least costSampleStride pricer calls reports positive costing.
 // The clamp itself is then pinned on a hand-set context whose sampled
 // costing falls below its bucketing and whose costing exceeds its wall time.
@@ -139,7 +169,6 @@ func TestMetricsPhaseSplitConsistent(t *testing.T) {
 	}{
 		{"algD", Options{}, Config{Coster: MultiParams{Mem: dm}}},
 		{"algC", Options{}, Config{Coster: StaticParams{Mem: dm}}},
-		{"algC/P=4", Options{Parallelism: 4}, Config{Coster: StaticParams{Mem: dm}}},
 	}
 	for _, shape := range []workload.Topology{workload.Chain, workload.Star, workload.Clique} {
 		cat, q := randInstance(t, 31, 7, shape, true)

@@ -17,17 +17,16 @@ import (
 // contributions (Algorithm D's rebucket spread bounds). A subset's
 // contribution depends only on the subset, so keeping the terms per subset
 // and summing them in ascending subset order makes the session total
-// independent of evaluation schedule — the parallel DP produces the same
-// float64 as the sequential one. Storage mirrors floatMemo: sized by the
-// enumerator's prediction, lazily allocated on first add.
+// independent of the order subsets were first evaluated in. Storage
+// mirrors floatMemo: sized by the enumerator's prediction, lazily
+// allocated on first add.
 type errMemo struct {
 	sz     memoSizing
 	dense  []float64
 	sparse *sparseTab[float64]
 }
 
-// add accumulates v into subset s's slot. Callers in a parallel run hold the
-// run's memo lock (accumBucketErr sits inside the RowDist compute path).
+// add accumulates v into subset s's slot.
 func (m *errMemo) add(s query.RelSet, v float64) {
 	if m.dense == nil && m.sparse == nil {
 		if m.sz.dense {
@@ -166,9 +165,8 @@ var clockReadNanos = sync.OnceValue(func() int64 {
 // timings and the counter deltas since beginRun. Costing is the sampled
 // pricer-time estimate, enumeration is total wall time minus costing, and
 // bucketing is the part of costing spent constructing size distributions.
-// Bucketing is timed in full while costing is estimated, and a parallel
-// run sums worker time against one wall clock, so the split is clamped to
-// 0 ≤ bucketing ≤ costing ≤ total.
+// Bucketing is timed in full while costing is estimated, so the split is
+// clamped to 0 ≤ bucketing ≤ costing ≤ total.
 func (ctx *Context) flushMetrics() {
 	m := ctx.metrics
 	if m == nil {

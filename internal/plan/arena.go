@@ -224,9 +224,8 @@ func (a *Arena) Join(left, right Node, m cost.Method) (j *Join, isNew bool) {
 	}
 	j = &a.joinSlab.carve(1, joinSlabSize)[0]
 	j.Left, j.Right, j.Method = left, right, m
-	// Force the Rels memo while the arena still owns the node: under a
-	// parallel run the arena is lock-protected, but returned nodes are read
-	// by concurrent workers, and a lazy first call to Rels would race.
+	// Force the Rels memo while the arena still owns the node, so readers
+	// of a shared plan never write it lazily.
 	j.rels = left.Rels().Union(right.Rels())
 	a.nextID++
 	j.aid = a.nextID

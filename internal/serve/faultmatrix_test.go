@@ -159,6 +159,33 @@ func TestBreakerWithoutLastGoodFailsTyped(t *testing.T) {
 	}
 }
 
+// TestComparePanicIsTyped: a worker panic during Compare surfaces as
+// lec.ErrInternal, like one during Optimize or Trace, and releases the
+// catalog lock and the admission slot so the next Compare runs normally.
+func TestComparePanicIsTyped(t *testing.T) {
+	svc, req := newExample11Service(t, Config{Workers: 1})
+	faultinject.Enable(faultinject.New(1, faultinject.Rule{
+		Site: faultinject.ServeOptimize, Kind: faultinject.KindPanic, Every: 1,
+	}))
+	t.Cleanup(faultinject.Disable)
+
+	ctx := context.Background()
+	if ds, err := svc.Compare(ctx, req); !errors.Is(err, lec.ErrInternal) {
+		t.Fatalf("Compare under an injected panic = (%d decisions, %v), want ErrInternal", len(ds), err)
+	}
+	faultinject.Disable()
+	ds, err := svc.Compare(ctx, req)
+	if err != nil {
+		t.Fatalf("Compare after the panic: %v", err)
+	}
+	if len(ds) != len(lec.Strategies()) {
+		t.Fatalf("decisions = %d, want %d", len(ds), len(lec.Strategies()))
+	}
+	if st := svc.Stats(); st.InFlight != 0 {
+		t.Errorf("in-flight = %d after both compares, want 0", st.InFlight)
+	}
+}
+
 // TestRetryBacksOffTransientFailures scripts the runner so the first two
 // attempts exhaust their budget with nothing to show; the third succeeds.
 func TestRetryBacksOffTransientFailures(t *testing.T) {

@@ -57,13 +57,6 @@ type Config struct {
 	// QueueDepth bounds requests waiting for a worker beyond Workers.
 	// Arrivals past Workers+QueueDepth are shed. Default 64.
 	QueueDepth int
-	// Parallelism is the per-request engine parallelism ceiling: each
-	// admitted run may fan its DP levels across up to this many workers.
-	// The effective value is recomputed per request against the free
-	// admission slots (see effectiveParallelism), so an idle service gives
-	// one request the full ceiling while a saturated one degrades every
-	// run to sequential instead of oversubscribing the host. Default 1.
-	Parallelism int
 	// DefaultTimeout is applied to requests whose context has no deadline;
 	// 0 means none.
 	DefaultTimeout time.Duration
@@ -101,9 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
-	}
-	if c.Parallelism < 1 {
-		c.Parallelism = 1
 	}
 	if c.Ladder == nil {
 		c.Ladder = DefaultLadder(c.QueueDepth)
@@ -388,34 +378,18 @@ func (s *Service) optimizeLeader(ctx context.Context, q *query.SPJ, req Request,
 	return resp, nil
 }
 
-// effectiveParallelism sizes one admitted request's engine parallelism
-// against the admission semaphore: the configured ceiling, clamped to
-// 1 + the free worker slots at the moment the run starts. Each admitted
-// request already holds one slot, so "free" slots are capacity other
-// requests are not using; under full load the clamp is 1 and every run
-// degrades to the sequential engine instead of oversubscribing the host
-// with Workers × Parallelism goroutines. The reading is advisory — slots
-// may free or fill while the run executes — but it is a safe upper bound
-// at admission time, which is when the fan-out is decided.
-func (s *Service) effectiveParallelism() int {
-	p := s.cfg.Parallelism
-	if free := cap(s.sem) - len(s.sem); p > 1+free {
-		p = 1 + free
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
-
-// run executes one engine run under the catalog read lock, with the
-// pressure rung's budget and tier floor folded into the configured
-// options. Worker panics (including injected ones) surface as
-// lec.ErrInternal so the breaker sees them.
-func (s *Service) run(ctx context.Context, q *query.SPJ, req Request, rung Rung) (dec *lec.Decision, err error) {
+// engineRun is the one body of every engine run the service makes: under
+// the catalog read lock it folds the pressure rung's budget and tier floor
+// into the configured options, counts the run, hands call an optimizer,
+// and adds the returned decisions' engine counters to the service totals.
+// A trace run pins the DP tier — the trace is the per-subset DP record, and
+// a greedy-served plan has none — and enables tracing. Worker panics
+// (including injected ones) surface as lec.ErrInternal so the breaker and
+// the caller see a typed error.
+func (s *Service) engineRun(rung Rung, trace bool, call func(*lec.Optimizer) ([]*lec.Decision, error)) (ds []*lec.Decision, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			dec, err = nil, fmt.Errorf("%w: serving worker panic: %v", lec.ErrInternal, p)
+			ds, err = nil, fmt.Errorf("%w: serving worker panic: %v", lec.ErrInternal, p)
 		}
 	}()
 	s.catMu.RLock()
@@ -424,15 +398,37 @@ func (s *Service) run(ctx context.Context, q *query.SPJ, req Request, rung Rung)
 	opts := s.cfg.Options
 	opts.Budget = tightenBudget(opts.Budget, rung.Budget)
 	opts.Tier = forceTier(opts.Tier, rung.Tier)
-	opts.Parallelism = s.effectiveParallelism()
-	s.c.optimizations.Add(1)
-	dec, err = lec.NewWithOptions(s.cat, opts).OptimizeContext(ctx, q, req.Env, req.Strategy)
-	if dec != nil {
-		s.c.searchMu.Lock()
-		s.c.search.Add(dec.Stats)
-		s.c.searchMu.Unlock()
+	if trace {
+		opts.Tier = lec.TierDP
+		opts.Trace = true
 	}
-	return dec, err
+	s.c.optimizations.Add(1)
+	ds, err = call(lec.NewWithOptions(s.cat, opts))
+	s.c.searchMu.Lock()
+	for _, d := range ds {
+		if d != nil {
+			s.c.search.Add(d.Stats)
+		}
+	}
+	s.c.searchMu.Unlock()
+	return ds, err
+}
+
+// optimizeOne runs one strategy through engineRun.
+func (s *Service) optimizeOne(ctx context.Context, q *query.SPJ, req Request, rung Rung, trace bool) (*lec.Decision, error) {
+	ds, err := s.engineRun(rung, trace, func(o *lec.Optimizer) ([]*lec.Decision, error) {
+		dec, err := o.OptimizeContext(ctx, q, req.Env, req.Strategy)
+		return []*lec.Decision{dec}, err
+	})
+	if len(ds) == 0 {
+		return nil, err
+	}
+	return ds[0], err
+}
+
+// run executes one cached-path engine run (the default runner).
+func (s *Service) run(ctx context.Context, q *query.SPJ, req Request, rung Rung) (*lec.Decision, error) {
+	return s.optimizeOne(ctx, q, req, rung, false)
 }
 
 // Compare runs every strategy side by side for one request, admitted like
@@ -464,21 +460,9 @@ func (s *Service) compare(ctx context.Context, req Request) ([]*lec.Decision, er
 		return nil, err
 	}
 	defer release()
-	s.catMu.RLock()
-	defer s.catMu.RUnlock()
-	faultinject.Check(faultinject.ServeOptimize)
-	opts := s.cfg.Options
-	opts.Budget = tightenBudget(opts.Budget, rung.Budget)
-	opts.Tier = forceTier(opts.Tier, rung.Tier)
-	opts.Parallelism = s.effectiveParallelism()
-	s.c.optimizations.Add(1)
-	ds, err := lec.NewWithOptions(s.cat, opts).CompareContext(ctx, q, req.Env)
-	for _, d := range ds {
-		s.c.searchMu.Lock()
-		s.c.search.Add(d.Stats)
-		s.c.searchMu.Unlock()
-	}
-	return ds, err
+	return s.engineRun(rung, false, func(o *lec.Optimizer) ([]*lec.Decision, error) {
+		return o.CompareContext(ctx, q, req.Env)
+	})
 }
 
 // Trace serves one request with decision tracing enabled and returns the
@@ -497,7 +481,7 @@ func (s *Service) Trace(ctx context.Context, req Request) (*lec.Decision, error)
 	return dec, err
 }
 
-func (s *Service) traceRun(ctx context.Context, req Request) (dec *lec.Decision, err error) {
+func (s *Service) traceRun(ctx context.Context, req Request) (*lec.Decision, error) {
 	s.c.requests.Add(1)
 	if s.draining.Load() {
 		return nil, ErrDraining
@@ -513,29 +497,7 @@ func (s *Service) traceRun(ctx context.Context, req Request) (dec *lec.Decision,
 		return nil, err
 	}
 	defer release()
-	defer func() {
-		if p := recover(); p != nil {
-			dec, err = nil, fmt.Errorf("%w: serving worker panic: %v", lec.ErrInternal, p)
-		}
-	}()
-	s.catMu.RLock()
-	defer s.catMu.RUnlock()
-	faultinject.Check(faultinject.ServeOptimize)
-	opts := s.cfg.Options
-	opts.Budget = tightenBudget(opts.Budget, rung.Budget)
-	// The trace IS the per-subset DP record; a greedy-served plan has none.
-	// Diagnostic reads pin the DP tier so they always observe the search.
-	opts.Tier = lec.TierDP
-	opts.Parallelism = s.effectiveParallelism()
-	opts.Trace = true
-	s.c.optimizations.Add(1)
-	dec, err = lec.NewWithOptions(s.cat, opts).OptimizeContext(ctx, q, req.Env, req.Strategy)
-	if dec != nil {
-		s.c.searchMu.Lock()
-		s.c.search.Add(dec.Stats)
-		s.c.searchMu.Unlock()
-	}
-	return dec, err
+	return s.optimizeOne(ctx, q, req, rung, true)
 }
 
 // bind resolves the request's query under the catalog read lock.
@@ -662,10 +624,10 @@ type Stats struct {
 	BreakerTrips, BreakerResets, PinnedServes int64
 	// InFlight and QueueDepth are live gauges of the admission state.
 	InFlight, QueueDepth int
-	// ConfiguredParallelism is the per-request parallelism ceiling;
-	// EffectiveParallelism is what a request admitted right now would get,
-	// given the current free worker slots.
-	ConfiguredParallelism, EffectiveParallelism int
+	// ConfiguredParallelism is the engine's per-request search parallelism:
+	// always 1, since every search runs on the sequential engine (the
+	// service uses the cores by running Workers requests at once).
+	ConfiguredParallelism int
 	// Generation is the current catalog generation.
 	Generation uint64
 	// Enumeration names the configured subset-lattice enumerator
@@ -682,18 +644,17 @@ type Stats struct {
 // Stats snapshots the service counters.
 func (s *Service) Stats() Stats {
 	st := Stats{
-		Requests:         s.c.requests.Load(),
-		Optimizations:    s.c.optimizations.Load(),
-		Shed:             s.c.shed.Load(),
-		PressureDegraded: s.c.pressureDegraded.Load(),
-		Retries:          s.c.retries.Load(),
-		PinnedServes:     s.c.pinnedServes.Load(),
-		InFlight:         len(s.sem),
-		QueueDepth:       len(s.queue),
-		Generation:       s.gen.Load(),
+		Requests:              s.c.requests.Load(),
+		Optimizations:         s.c.optimizations.Load(),
+		Shed:                  s.c.shed.Load(),
+		PressureDegraded:      s.c.pressureDegraded.Load(),
+		Retries:               s.c.retries.Load(),
+		PinnedServes:          s.c.pinnedServes.Load(),
+		InFlight:              len(s.sem),
+		QueueDepth:            len(s.queue),
+		Generation:            s.gen.Load(),
+		ConfiguredParallelism: 1,
 	}
-	st.ConfiguredParallelism = s.cfg.Parallelism
-	st.EffectiveParallelism = s.effectiveParallelism()
 	st.Enumeration = s.cfg.Options.Enumeration.String()
 	st.Tier = s.cfg.Options.Tier.String()
 	st.CacheHits, st.CacheMisses, st.Coalesced, st.Evictions, st.Invalidations = s.cache.counters()
