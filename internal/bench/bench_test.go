@@ -124,29 +124,42 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-// TestE19MatchesExperimentsDoc keeps the published anytime curve honest: it
-// regenerates E19 (deterministic — fixed seeds, no timings) and compares it
-// with the E19 section of EXPERIMENTS.md. On failure, regenerate the
-// section with `go run ./cmd/lecbench -e E19 -format md`.
-func TestE19MatchesExperimentsDoc(t *testing.T) {
+// TestExperimentsMatchDoc keeps the published tables honest: it regenerates
+// every experiment whose table is deterministic (fixed seeds, no timing
+// columns) and compares it with its section of EXPERIMENTS.md. E18 prints
+// wall-clock columns and is left out. On failure, regenerate the section
+// with `go run ./cmd/lecbench -e <id> -format md`.
+func TestExperimentsMatchDoc(t *testing.T) {
 	raw, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
 		t.Fatal(err)
 	}
 	doc := string(raw)
-	start := strings.Index(doc, "### E19 — ")
-	if start < 0 {
-		t.Fatal("EXPERIMENTS.md has no E19 section")
+	want := map[string]bool{}
+	for _, id := range []string{"E1", "E2", "E3", "E4", "E5", "E11", "E12", "E15", "E17", "E19"} {
+		want[id] = true
 	}
-	section := doc[start:]
-	if end := strings.Index(section[1:], "\n### "); end >= 0 {
-		section = section[:end+1]
-	}
-	tab, err := E19AnytimeCurve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := strings.TrimSpace(section), strings.TrimSpace(tab.Markdown()); got != want {
-		t.Errorf("EXPERIMENTS.md E19 section is stale.\n--- checked in:\n%s\n--- regenerated:\n%s", got, want)
+	for _, r := range All() {
+		if !want[r.ID] {
+			continue
+		}
+		r := r
+		t.Run(r.ID, func(t *testing.T) {
+			start := strings.Index(doc, "### "+r.ID+" — ")
+			if start < 0 {
+				t.Fatalf("EXPERIMENTS.md has no %s section", r.ID)
+			}
+			section := doc[start:]
+			if end := strings.Index(section[1:], "\n### "); end >= 0 {
+				section = section[:end+1]
+			}
+			tab, err := r.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := strings.TrimSpace(section), strings.TrimSpace(tab.Markdown()); got != want {
+				t.Errorf("EXPERIMENTS.md %s section is stale.\n--- checked in:\n%s\n--- regenerated:\n%s", r.ID, got, want)
+			}
+		})
 	}
 }
