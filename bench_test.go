@@ -7,6 +7,7 @@
 package repro_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -115,7 +116,7 @@ func BenchmarkAlgorithmB_n6_b8_c4(b *testing.B) {
 	dm := benchMemDist(8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := opt.AlgorithmB(cat, q, opt.Options{TopC: 4}, dm); err != nil {
+		if _, err := opt.Run(context.Background(), cat, q, opt.Options{}, opt.Config{Coster: opt.StaticParams{Mem: dm}, Pool: &opt.Pool{TopC: 4}}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -68,8 +67,7 @@ func E19AnytimeCurve() (*Table, error) {
 		var sumRatio, worstRatio float64
 		degraded, partial, greedy := 0, 0, 0
 		for i, in := range cats {
-			res, err := opt.AlgorithmCCtx(context.Background(), in.cat, in.q,
-				opt.Options{Budget: opt.Budget{MaxCostEvals: b}}, dm)
+			res, err := opt.AlgorithmC(in.cat, in.q, opt.Options{Budget: opt.Budget{MaxCostEvals: b}}, dm)
 			if err != nil {
 				return nil, fmt.Errorf("E19 budget %d instance %d: %w", b, i, err)
 			}

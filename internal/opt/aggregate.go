@@ -25,10 +25,92 @@ const groupRowsPerPage = 256
 // The candidate pool covers the SPJ core, generated twice: once bare (cheap
 // unordered inputs for hash aggregation) and once targeting the group key's
 // order (sort-merge-last joins, order-providing index scans, or explicit
-// sorts — the inputs that make sort aggregation free). The union is
-// deduplicated by plan key.
+// sorts — the inputs that make sort aggregation free).
 func OptimizeWithAggregation(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
-	return OptimizeWithAggregationCtx(context.Background(), cat, q, opts, dm)
+	if q.GroupBy == nil {
+		return nil, fmt.Errorf("opt: query has no GROUP BY; use AlgorithmC")
+	}
+	return Run(context.Background(), cat, q, opts, Config{Coster: StaticParams{Mem: dm}, Pool: &Pool{TopC: DefaultTopC}})
+}
+
+// aggSpec is a GROUP BY block's finishing step: the block itself (for its
+// group key and ORDER BY) and the aggregate's size estimates.
+type aggSpec struct {
+	q             *query.SPJ
+	groups, pages float64
+}
+
+// newAggregation builds a GROUP BY block's engine: a session over the bare
+// join core, with a twin session over the core ordered on the group key.
+// Each session generates its own candidate pool under its own budget meter;
+// OptimizeCtx serves the cheaper of their picks, which is the least
+// expected cost candidate of the union of the two pools.
+func newAggregation(cat *catalog.Catalog, q *query.SPJ, opts Options, cfg Config) (*Optimizer, error) {
+	if err := q.Validate(cat); err != nil {
+		return nil, err
+	}
+	groups, pages, err := groupEstimates(cat, q)
+	if err != nil {
+		return nil, err
+	}
+	agg := &aggSpec{q: q, groups: groups, pages: pages}
+	core := *q
+	core.OrderBy = nil
+	core.GroupBy = nil
+	ordered := core
+	ordered.OrderBy = q.GroupBy
+	bare, err := newSession(cat, &core, opts, cfg)
+	if err != nil {
+		return nil, err
+	}
+	twin, err := newSession(cat, &ordered, opts, cfg)
+	if err != nil {
+		bare.release()
+		return nil, err
+	}
+	bare.agg, twin.agg, bare.twin = agg, agg, twin
+	return bare, nil
+}
+
+// joinTwin runs the twin session and folds its result into the bare
+// session's res: the twin's pick is served only when strictly cheaper (so
+// a candidate both pools hold resolves as in one union pool), the counters
+// are summed, and the first session to degrade names the degradation.
+func (o *Optimizer) joinTwin(rc context.Context, res *Result) (*Result, error) {
+	tres, err := o.twin.OptimizeCtx(rc)
+	if err != nil {
+		return nil, err
+	}
+	out := res
+	if tres.Cost < res.Cost {
+		out = tres
+	}
+	deg := res
+	if !res.Degraded {
+		deg = tres
+	}
+	count := res.Count
+	count.Add(tres.Count)
+	out.Count = count
+	out.Degraded, out.Reason, out.Rung = deg.Degraded, deg.Reason, deg.Rung
+	return out, nil
+}
+
+// pickBest finishes every candidate with both aggregate methods and returns
+// the least-expected-cost result.
+func (a *aggSpec) pickBest(cands []plan.Node, dm *stats.Dist) (plan.Node, float64) {
+	var best plan.Node
+	bestCost := math.Inf(1)
+	for _, cand := range cands {
+		for _, m := range []plan.AggMethod{plan.HashAgg, plan.SortAgg} {
+			finished := finishAggregate(a.q, cand, m, a.groups, a.pages)
+			ec := plan.ExpCost(finished, dm)
+			if ec < bestCost {
+				best, bestCost = finished, ec
+			}
+		}
+	}
+	return best, bestCost
 }
 
 // finishAggregate wraps a join plan with the aggregate (and an ORDER BY

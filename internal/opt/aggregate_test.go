@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/catalog"
@@ -28,7 +29,7 @@ func TestAggregationMatchesExhaustive(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		cat, q := aggInstance(t, seed, seed%2 == 0)
 		dm := randMemDist3(seed + 5100)
-		got, err := OptimizeWithAggregation(cat, q, Options{TopC: 512}, dm)
+		got, err := Run(context.Background(), cat, q, Options{}, Config{Coster: StaticParams{Mem: dm}, Pool: &Pool{TopC: 512}})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"context"
-	"math"
 
 	"repro/internal/catalog"
 	"repro/internal/plan"
@@ -22,22 +21,7 @@ import (
 // may be optimal for none of the m_i and therefore never generated
 // (see TestAlgorithmAIsNotExact).
 func AlgorithmA(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
-	return AlgorithmACtx(context.Background(), cat, q, opts, dm)
-}
-
-// pickLeastExpected evaluates E[Φ] for each candidate under dm and returns
-// the winner. This is Algorithm A's costing phase; the paper notes its cost
-// is "much smaller than the cost of candidate generation".
-func pickLeastExpected(cands []plan.Node, dm *stats.Dist) (plan.Node, float64) {
-	var best plan.Node
-	bestCost := math.Inf(1)
-	for _, c := range cands {
-		ec := plan.ExpCost(c, dm)
-		if ec < bestCost {
-			best, bestCost = c, ec
-		}
-	}
-	return best, bestCost
+	return Run(context.Background(), cat, q, opts, Config{Coster: StaticParams{Mem: dm}, Pool: &Pool{}})
 }
 
 // LSCPlan returns the plan the traditional approach would choose: optimize
@@ -47,5 +31,14 @@ func pickLeastExpected(cands []plan.Node, dm *stats.Dist) (plan.Node, float64) {
 // The returned Result's Cost is that plan's *expected* cost under dm, so it
 // is directly comparable with the LEC optimizers' results.
 func LSCPlan(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist, useMode bool) (*Result, error) {
-	return LSCPlanCtx(context.Background(), cat, q, opts, dm, useMode)
+	rep := dm.Mean()
+	if useMode {
+		rep = dm.Mode()
+	}
+	res, err := Run(context.Background(), cat, q, opts, Config{Coster: FixedParams{Mem: rep}})
+	if err != nil {
+		return nil, err
+	}
+	res.Cost = plan.ExpCost(res.Plan, dm)
+	return res, nil
 }

@@ -46,7 +46,7 @@ func TestHierarchyLSCgeAgeBgeC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := AlgorithmB(cat, q, Options{TopC: 3}, dm)
+		b, err := AlgorithmB(cat, q, Options{}, dm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestAlgorithmBWithLargeCAchievesLEC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := AlgorithmB(cat, q, Options{TopC: 512}, dm)
+		b, err := Run(context.Background(), cat, q, Options{}, Config{Coster: StaticParams{Mem: dm}, Pool: &Pool{TopC: 512}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,11 +214,12 @@ func TestAlgorithmBWithLargeCAchievesLEC(t *testing.T) {
 func TestAlgorithmBCandidatesCoverA(t *testing.T) {
 	cat, q := randInstance(t, 9, 4, workload.Star, false)
 	dm := randMemDist3(17)
-	eng, err := bucketOptimizer(cat, q, Options{TopC: 3}, dm)
+	eng, err := NewOptimizer(cat, q, Options{}, Config{Coster: StaticParams{Mem: dm}, Pool: &Pool{TopC: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bCands, _, err := eng.algorithmBCandidates(context.Background(), dm)
+	eng.ctx.beginRun(context.Background())
+	bCands, err := eng.gatherPool()
 	if err != nil {
 		t.Fatal(err)
 	}

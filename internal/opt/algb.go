@@ -65,8 +65,8 @@ func sortTruncate(ctx *Context, entries []topEntry, c int) []topEntry {
 // runTopC runs the top-c variant of the System R dynamic program
 // (paper §3.3) and returns the best c finished root plans, ascending by
 // cost under the engine's pricer. The per-relation scan lists and the
-// per-subset list table are engine scratch, reused across Algorithm B's
-// bucket invocations.
+// per-subset list table are engine scratch, reused across a candidate
+// pool's bucket invocations.
 func (o *Optimizer) runTopC(c int) ([]topEntry, error) {
 	ctx, pr := o.ctx, o.pricer
 	n := ctx.Q.NumRels()
@@ -104,7 +104,7 @@ func (o *Optimizer) runTopC(c int) ([]topEntry, error) {
 				// Empty under the connected enumerator when S\{j} is
 				// disconnected — the same csg restriction as the single-best DP.
 				left := lists.get(sj)
-				if len(left) == 0 || !ctx.extensionAllowed(sj, j) {
+				if len(left) == 0 {
 					return
 				}
 				for _, m := range methods {
@@ -146,13 +146,14 @@ func finishEntry(ctx *Context, pr stepPricer, e topEntry, phase int) topEntry {
 	return topEntry{node: finished, cost: total}
 }
 
-// AlgorithmB implements paper §3.3: generate the top c plans for each of
-// the b bucket representatives of the memory distribution, then pick the
-// candidate with the least expected cost under the full distribution. It
-// dominates Algorithm A (its candidate pool is a superset) but still does
-// not always find the exact LEC plan.
+// AlgorithmB implements paper §3.3: generate the top c = DefaultTopC plans
+// for each of the b bucket representatives of the memory distribution, then
+// pick the candidate with the least expected cost under the full
+// distribution (other c: Run with Pool{TopC: c}). It dominates Algorithm A
+// (its candidate pool is a superset) but still does not always find the
+// exact LEC plan.
 func AlgorithmB(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
-	return AlgorithmBCtx(context.Background(), cat, q, opts, dm)
+	return Run(context.Background(), cat, q, opts, Config{Coster: StaticParams{Mem: dm}, Pool: &Pool{TopC: DefaultTopC}})
 }
 
 // TopCPlans exposes the top-c plans at a single fixed memory value,
@@ -164,7 +165,12 @@ func TopCPlans(cat *catalog.Catalog, q *query.SPJ, opts Options, mem float64, c 
 		return nil, nil, Counters{}, err
 	}
 	plans, costs, err := eng.OptimizeTop(c)
-	return plans, costs, eng.Stats(), err
+	for i, p := range plans {
+		plans[i] = plan.Detach(p)
+	}
+	count := eng.Stats()
+	eng.Finish(nil, nil)
+	return plans, costs, count, err
 }
 
 // MergeBound returns the Proposition 3.1 upper bound c + c·ln c on the

@@ -114,9 +114,9 @@ func (dc distCoster) sortStep(input plan.Node, _ int) float64 {
 // paper §3.6. Uncertainty sources: dm for memory, each table's SizeDist
 // (catalog), and each join predicate's SelDist (query). All are assumed
 // independent, the paper's §3.6 default. The returned plan's joins are
-// annotated with their propagated size distributions.
+// annotated with their propagated size distributions (see Finish).
 func AlgorithmD(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
-	return AlgorithmDCtx(context.Background(), cat, q, opts, dm)
+	return Run(context.Background(), cat, q, opts, Config{Coster: MultiParams{Mem: dm}})
 }
 
 // annotateSizeDists stores the per-subset size distributions on the plan's

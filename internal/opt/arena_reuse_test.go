@@ -29,10 +29,10 @@ func arenaReuseRuns() []arenaReuseRun {
 	bg := context.Background()
 	return []arenaReuseRun{
 		{name: "C/sequential", run: func(cat *catalog.Catalog, q *query.SPJ, dm *stats.Dist) (*Result, error) {
-			return AlgorithmCCtx(bg, cat, q, Options{}, dm)
+			return Run(bg, cat, q, Options{}, Config{Coster: StaticParams{Mem: dm}})
 		}},
 		{name: "C/tier-auto", run: func(cat *catalog.Catalog, q *query.SPJ, dm *stats.Dist) (*Result, error) {
-			return AlgorithmCCtx(bg, cat, q, Options{Tier: TierAuto, Enumeration: EnumConnected}, dm)
+			return Run(bg, cat, q, Options{Tier: TierAuto, Enumeration: EnumConnected}, Config{Coster: StaticParams{Mem: dm}})
 		}, check: func(r *Result) error {
 			if r.Tier == "" {
 				return fmt.Errorf("tier controller did not run")
@@ -40,7 +40,7 @@ func arenaReuseRuns() []arenaReuseRun {
 			return nil
 		}},
 		{name: "D/annotated", run: func(cat *catalog.Catalog, q *query.SPJ, dm *stats.Dist) (*Result, error) {
-			return AlgorithmDCtx(bg, cat, q, Options{}, dm)
+			return Run(bg, cat, q, Options{}, Config{Coster: MultiParams{Mem: dm}})
 		}, check: func(r *Result) error {
 			annotated := 0
 			plan.Walk(r.Plan, func(n plan.Node) {
@@ -54,7 +54,7 @@ func arenaReuseRuns() []arenaReuseRun {
 			return nil
 		}},
 		{name: "C/budget-greedy", run: func(cat *catalog.Catalog, q *query.SPJ, dm *stats.Dist) (*Result, error) {
-			return AlgorithmCCtx(bg, cat, q, Options{Budget: Budget{MaxCostEvals: 1}}, dm)
+			return Run(bg, cat, q, Options{Budget: Budget{MaxCostEvals: 1}}, Config{Coster: StaticParams{Mem: dm}})
 		}, check: func(r *Result) error {
 			if !r.Degraded || r.Rung != RungGreedy {
 				return fmt.Errorf("degraded=%v rung=%q, want the greedy rung", r.Degraded, r.Rung)
@@ -62,16 +62,16 @@ func arenaReuseRuns() []arenaReuseRun {
 			return nil
 		}},
 		{name: "A", run: func(cat *catalog.Catalog, q *query.SPJ, dm *stats.Dist) (*Result, error) {
-			return AlgorithmACtx(bg, cat, q, Options{}, dm)
+			return Run(bg, cat, q, Options{}, Config{Coster: StaticParams{Mem: dm}, Pool: &Pool{}})
 		}},
 		{name: "B", run: func(cat *catalog.Catalog, q *query.SPJ, dm *stats.Dist) (*Result, error) {
-			return AlgorithmBCtx(bg, cat, q, Options{}, dm)
+			return Run(bg, cat, q, Options{}, Config{Coster: StaticParams{Mem: dm}, Pool: &Pool{TopC: DefaultTopC}})
 		}},
 		{name: "aggregate", run: func(cat *catalog.Catalog, q *query.SPJ, dm *stats.Dist) (*Result, error) {
 			gq := *q
 			gq.GroupBy = &query.ColumnRef{Table: q.Tables[0], Column: "fk"}
 			gq.OrderBy = nil
-			return OptimizeWithAggregationCtx(bg, cat, &gq, Options{}, dm)
+			return Run(bg, cat, &gq, Options{}, Config{Coster: StaticParams{Mem: dm}, Pool: &Pool{TopC: DefaultTopC}})
 		}},
 	}
 }

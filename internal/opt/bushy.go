@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -77,9 +78,6 @@ func (o *Optimizer) solveBushy(ctx *Context, pr stepPricer, bp batchStepPricer, 
 		if le.node == nil || re.node == nil {
 			continue
 		}
-		if ctx.Opts.AvoidCrossProducts && !ctx.connected(l, r) && !crossUnavoidable(ctx, s) {
-			continue
-		}
 		base := le.cost + re.cost
 		// One batch per operand order: the batched kernel's values depend on
 		// (left, right), and both orders are priced per method.
@@ -132,19 +130,8 @@ func (o *Optimizer) finishBushy(ctx *Context, rootBest dpEntry, rootFound bool) 
 	return &Result{Plan: rootBest.node, Cost: rootBest.cost, Count: ctx.snapshotCount()}, nil
 }
 
-// crossUnavoidable reports whether every split of s crosses a predicate-free
-// boundary (disconnected join graph inside s), in which case cross products
-// must be allowed.
-func crossUnavoidable(ctx *Context, s query.RelSet) bool {
-	return !ctx.Q.Connected(s)
-}
-
 // BushyAlgorithmC returns the bushy LEC plan under a static memory
 // distribution: Algorithm C with heuristic 2 removed.
 func BushyAlgorithmC(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
-	eng, err := NewOptimizer(cat, q, opts, Config{Space: SpaceBushy, Coster: StaticParams{Mem: dm}})
-	if err != nil {
-		return nil, err
-	}
-	return eng.Optimize()
+	return Run(context.Background(), cat, q, opts, Config{Space: SpaceBushy, Coster: StaticParams{Mem: dm}})
 }

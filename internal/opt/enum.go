@@ -70,13 +70,6 @@ func (ctx *Context) initEnum() {
 	ctx.sizing = ctx.computeSizing()
 }
 
-// EffectiveEnumeration returns the enumerator actually driving the session:
-// the requested one, except that EnumConnected degrades to EnumExhaustive
-// when the join graph is disconnected (some cross join is then mandatory,
-// and only the exhaustive lattice contains the disconnected subsets such
-// plans are built from).
-func (ctx *Context) EffectiveEnumeration() Enumeration { return ctx.enumEff }
-
 // forEachLevel calls f for every level-d subset of the effective
 // enumeration, in ascending numeric order, and advances the enumerated/
 // skipped counters. Both enumerators visit the connected level-d family in

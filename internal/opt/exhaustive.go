@@ -99,7 +99,7 @@ func (ctx *Context) enumerateLeftDeep(visit func(plan.Node)) error {
 			return
 		}
 		for j := 0; j < n; j++ {
-			if used.Has(j) || !ctx.extensionAllowed(used, j) {
+			if used.Has(j) {
 				continue
 			}
 			scan := ctx.BestScan(j)

@@ -153,9 +153,6 @@ func seedRunDP(ctx *Context, sc seedStepCoster) (*Result, error) {
 				if !ok {
 					return
 				}
-				if !ctx.extensionAllowed(sj, j) {
-					return
-				}
 				scan := ctx.BestScan(j)
 				base := left.cost + scan.AccessCost()
 				for _, m := range ctx.Opts.methods() {
@@ -288,9 +285,6 @@ func seedBushyDP(ctx *Context, bc seedBushyCoster) (*Result, error) {
 				if !lok || !rok {
 					continue
 				}
-				if ctx.Opts.AvoidCrossProducts && len(ctx.predsBetween(l, r)) == 0 && !crossUnavoidable(ctx, s) {
-					continue
-				}
 				base := le.cost + re.cost
 				for _, m := range ctx.Opts.methods() {
 					for _, ord := range [2][2]dpEntry{{le, re}, {re, le}} {
@@ -401,7 +395,7 @@ func seedTopCDP(ctx *Context, sc seedStepCoster, c int) ([]topEntry, error) {
 			s.ForEach(func(j int) {
 				sj := s.Without(j)
 				left := lists[sj]
-				if len(left) == 0 || !ctx.extensionAllowed(sj, j) {
+				if len(left) == 0 {
 					return
 				}
 				for _, m := range ctx.Opts.methods() {
@@ -454,7 +448,7 @@ func seedAlgorithmA(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.
 
 // seedAlgorithmB is the seed's per-bucket top-c loop.
 func seedAlgorithmB(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
-	c := opts.topC()
+	c := DefaultTopC
 	seen := map[string]bool{}
 	var cands []plan.Node
 	for i := 0; i < dm.Len(); i++ {
@@ -534,9 +528,12 @@ func randomGoldenInstance(t *testing.T, seed int64) goldenInstance {
 			}
 		}
 	}
+	// This draw once chose the deleted cross-product heuristic; it is kept
+	// so the corpus stays what it was.
+	_ = rng.Intn(2)
 	return goldenInstance{
 		cat: cat, q: q,
-		opts:   Options{AvoidCrossProducts: rng.Intn(2) == 0},
+		opts:   Options{},
 		dm:     dm,
 		phases: phases,
 		chain:  stats.MustNewChain(vals, p),

@@ -33,7 +33,7 @@ func QueryMemBreakpoints(cat *catalog.Catalog, q *query.SPJ, opts Options) ([]fl
 	// EnumConnected the optimizer only ever prices extensions of connected
 	// subsets by adjacent relations, so the breakpoint set matches the
 	// steps that search can construct.
-	connectedOnly := ctx.EffectiveEnumeration() == EnumConnected
+	connectedOnly := ctx.enumEff == EnumConnected
 	for d := 1; d < n; d++ {
 		ctx.forEachLevel(d, func(s query.RelSet) {
 			a := ctx.SubsetPages(s)

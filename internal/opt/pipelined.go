@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -90,9 +91,5 @@ func evalPipelined(ctx *Context, pr stepPricer, root plan.Node) float64 {
 // reference answer for the pipeline-aware model — kept as an entry point
 // because experiments compare it against the per-join-phase DP.
 func ExhaustivePipelined(cat *catalog.Catalog, q *query.SPJ, opts Options, phaseDists []*stats.Dist) (*Result, error) {
-	eng, err := NewOptimizer(cat, q, opts, Config{Space: SpacePipelined, Coster: PhasedParams{Phases: phaseDists}})
-	if err != nil {
-		return nil, err
-	}
-	return eng.Optimize()
+	return Run(context.Background(), cat, q, opts, Config{Space: SpacePipelined, Coster: PhasedParams{Phases: phaseDists}})
 }

@@ -33,7 +33,7 @@ func (f fixedCoster) sortStep(input plan.Node, _ int) float64 {
 // case of LEC optimization (paper §4: "the traditional approach is
 // essentially our approach restricted to one bucket").
 func SystemR(cat *catalog.Catalog, q *query.SPJ, opts Options, mem float64) (*Result, error) {
-	return SystemRCtx(context.Background(), cat, q, opts, mem)
+	return Run(context.Background(), cat, q, opts, Config{Coster: FixedParams{Mem: mem}})
 }
 
 // phaseDistAt clamps a phase index into the distribution list — sequences
@@ -80,7 +80,7 @@ func (p phasedCoster) sortStep(input plan.Node, phase int) float64 {
 // static memory distribution and returns the exact LEC left-deep plan
 // (Theorem 3.3).
 func AlgorithmC(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist) (*Result, error) {
-	return AlgorithmCCtx(context.Background(), cat, q, opts, dm)
+	return Run(context.Background(), cat, q, opts, Config{Coster: StaticParams{Mem: dm}})
 }
 
 // AlgorithmCDynamic runs the expected-cost dynamic program when memory
@@ -91,7 +91,7 @@ func AlgorithmC(cat *catalog.Catalog, q *query.SPJ, opts Options, dm *stats.Dist
 // probabilities independent of time) it returns the exact LEC left-deep
 // plan (Theorem 3.4).
 func AlgorithmCDynamic(cat *catalog.Catalog, q *query.SPJ, opts Options, chain *stats.Chain, initial *stats.Dist) (*Result, error) {
-	return AlgorithmCDynamicCtx(context.Background(), cat, q, opts, chain, initial)
+	return Run(context.Background(), cat, q, opts, Config{Coster: MarkovParams{Chain: chain, Initial: initial}})
 }
 
 // PhaseDistsFor exposes the per-phase distributions AlgorithmCDynamic uses,

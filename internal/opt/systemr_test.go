@@ -40,27 +40,6 @@ func TestTheorem21(t *testing.T) {
 	}
 }
 
-// TestTheorem21WithCrossProductHeuristic repeats the check with the
-// AvoidCrossProducts heuristic on: DP and exhaustive still agree because
-// they share the policy.
-func TestTheorem21WithCrossProductHeuristic(t *testing.T) {
-	opts := Options{AvoidCrossProducts: true}
-	for seed := int64(0); seed < 6; seed++ {
-		cat, q := randInstance(t, seed, 4, workload.Chain, true)
-		dp, err := SystemR(cat, q, opts, 500)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		ex, err := ExhaustiveLSC(cat, q, opts, 500)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if relDiff(dp.Cost, ex.Cost) > costTol {
-			t.Errorf("seed %d: DP %v != exhaustive %v", seed, dp.Cost, ex.Cost)
-		}
-	}
-}
-
 // TestSystemRExample11 reproduces the LSC half of Example 1.1: at the modal
 // (2000) and mean (1740) memory values the optimizer picks Plan 1
 // (sort-merge, free order), while at 700 pages it picks Plan 2 (Grace hash
@@ -191,11 +170,11 @@ func TestOptionsDefaults(t *testing.T) {
 	if len(o.methods()) != len(cost.Methods()) {
 		t.Error("default methods not all")
 	}
-	if o.budget() != DefaultBudget || o.topC() != DefaultTopC {
+	if o.budget() != DefaultBudget {
 		t.Error("defaults wrong")
 	}
-	o = Options{Methods: []cost.Method{cost.SortMerge}, RebucketBudget: 9, TopC: 7}
-	if len(o.methods()) != 1 || o.budget() != 9 || o.topC() != 7 {
+	o = Options{Methods: []cost.Method{cost.SortMerge}, RebucketBudget: 9}
+	if len(o.methods()) != 1 || o.budget() != 9 {
 		t.Error("explicit options ignored")
 	}
 }

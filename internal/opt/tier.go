@@ -417,14 +417,14 @@ func (ctx *Context) greedyPlan(seed greedySeed, phases []*stats.Dist, margin flo
 	gp := tierPlan{cost: seed.cost}
 
 	for used.Len() < n {
-		// Candidate choice: among admissible extensions, prefer relations
-		// connected to the current subset (no cross joins while any
-		// predicate-connected extension exists), and among those take the
-		// minimum expected joint cardinality.
+		// Candidate choice: prefer relations connected to the current
+		// subset (no cross joins while any predicate-connected extension
+		// exists), and among those take the minimum expected joint
+		// cardinality.
 		bestJ, bestConn := -1, false
 		bestRows := math.Inf(1)
 		for j := 0; j < n; j++ {
-			if used.Has(j) || !ctx.extensionAllowed(used, j) {
+			if used.Has(j) {
 				continue
 			}
 			conn := ctx.conn[j]&used != 0

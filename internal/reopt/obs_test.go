@@ -27,11 +27,11 @@ func TestOutcomeStatsAccumulateAcrossRestarts(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	first, err := opt.SystemRCtx(ctx, cat, q, opt.Options{}, 2000)
+	first, err := opt.Run(ctx, cat, q, opt.Options{}, opt.Config{Coster: opt.FixedParams{Mem: 2000}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := opt.SystemRCtx(ctx, cat, q, opt.Options{}, 200)
+	second, err := opt.Run(ctx, cat, q, opt.Options{}, opt.Config{Coster: opt.FixedParams{Mem: 200}})
 	if err != nil {
 		t.Fatal(err)
 	}

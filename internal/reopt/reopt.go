@@ -90,7 +90,7 @@ func Run(cat *catalog.Catalog, q *query.SPJ, opts opt.Options, assumedMem float6
 func RunContext(ctx context.Context, cat *catalog.Catalog, q *query.SPJ, opts opt.Options, assumedMem float64,
 	tr eval.Trace, policy Policy) (Outcome, error) {
 	policy = policy.withDefaults()
-	res, err := opt.SystemRCtx(ctx, cat, q, opts, assumedMem)
+	res, err := opt.Run(ctx, cat, q, opts, opt.Config{Coster: opt.FixedParams{Mem: assumedMem}})
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -127,7 +127,7 @@ func RunContext(ctx context.Context, cat *catalog.Catalog, q *query.SPJ, opts op
 				out.Sunk += done
 				out.Total += done
 				assumedMem = observed
-				res, err = opt.SystemRCtx(ctx, cat, q, opts, observed)
+				res, err = opt.Run(ctx, cat, q, opts, opt.Config{Coster: opt.FixedParams{Mem: observed}})
 				if err != nil {
 					return Outcome{}, err
 				}

@@ -1,12 +1,15 @@
 package lec
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/cost"
+	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/plan"
+	"repro/internal/query"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -129,6 +132,28 @@ func TestStrategyStrings(t *testing.T) {
 	}
 }
 
+func TestParseStrategy(t *testing.T) {
+	names := map[Strategy]string{
+		LSCMean: "lsc-mean", LSCMode: "lsc-mode",
+		AlgorithmA: "a", AlgorithmB: "b", AlgorithmC: "c", AlgorithmD: "d",
+	}
+	for _, s := range Strategies() {
+		name, ok := names[s]
+		if !ok {
+			t.Fatalf("strategy %v has no flag name in this table", s)
+		}
+		got, err := ParseStrategy(name)
+		if err != nil || got != s {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", name, got, err, s)
+		}
+	}
+	for _, bad := range []string{"", "bogus", "z", "algorithm-c", "C"} {
+		if _, err := ParseStrategy(bad); err == nil {
+			t.Errorf("ParseStrategy(%q) accepted", bad)
+		}
+	}
+}
+
 func TestNewWithOptionsRestrictsMethods(t *testing.T) {
 	cat, q, dm := workload.Example11()
 	o := NewWithOptions(cat, opt.Options{Methods: []cost.Method{cost.SortMerge}})
@@ -187,5 +212,47 @@ func TestGroupByThroughFacade(t *testing.T) {
 	}
 	if sqlQ.Query.GroupBy == nil {
 		t.Error("SQL GROUP BY lost")
+	}
+}
+
+// TestStrategiesStampEveryDecision: every strategy, plain and GROUP BY,
+// ends through the engine's one epilogue. The decision reports the
+// enumerator in effect and carries a trace, and each engine session adds
+// exactly one run to lec_opt_runs_total — one for a plain block, however
+// many buckets a candidate pool searches, and two for GROUP BY (the bare
+// join core and the core ordered on the group key).
+func TestStrategiesStampEveryDecision(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	cat := workload.RandomCatalog(rng, workload.CatalogSpec{NumTables: 4})
+	q, err := workload.RandomQuery(rng, cat, workload.QuerySpec{NumRels: 4, Shape: workload.Chain, OrderBy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gq := *q
+	gq.GroupBy = &query.ColumnRef{Table: q.Tables[0], Column: "fk"}
+	gq.OrderBy = nil
+	env := Environment{Memory: stats.MustNew([]float64{200, 900, 4000}, []float64{0.3, 0.4, 0.3})}
+	for _, tc := range []struct {
+		name     string
+		q        *query.SPJ
+		sessions float64
+	}{{"plain", q, 1}, {"group-by", &gq, 2}} {
+		for _, s := range Strategies() {
+			m := obs.NewOptMetrics(obs.NewRegistry())
+			o := NewWithOptions(cat, Options{Enumeration: EnumConnected, Trace: true, Metrics: m})
+			d, err := o.Optimize(tc.q, env, s)
+			if err != nil {
+				t.Fatalf("%s %v: %v", tc.name, s, err)
+			}
+			if d.Enumeration != EnumConnected {
+				t.Errorf("%s %v: enumeration %v, want connected", tc.name, s, d.Enumeration)
+			}
+			if d.Trace == nil {
+				t.Errorf("%s %v: no trace", tc.name, s)
+			}
+			if got := m.Runs.Value(); got != tc.sessions {
+				t.Errorf("%s %v: %v runs counted, want %v", tc.name, s, got, tc.sessions)
+			}
+		}
 	}
 }
