@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race serve-race fleet-race fleet-chaos bench bench-smoke cover fuzz calibrate
+.PHONY: check fmt vet build test race serve-race fleet-race fleet-chaos bench bench-smoke cover fuzz calibrate loc
 
 # Fuzz budget per target; override with `make fuzz FUZZTIME=1m`.
 FUZZTIME ?= 10s
@@ -96,3 +96,12 @@ calibrate:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseSQL -fuzztime $(FUZZTIME) ./internal/sqlparse
 	$(GO) test -run '^$$' -fuzz FuzzOptimize -fuzztime $(FUZZTIME) ./lec
+
+# Non-test Go lines per package (every line of the package's non-test .go
+# files, comments and blanks included) — the size figure ROADMAP tracks and
+# each PR reports before and after.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+		while read pkg files; do \
+			if [ -n "$$files" ]; then printf '%6d  %s\n' $$(cat $$files | wc -l) $$pkg; fi; \
+		done

@@ -103,7 +103,7 @@ func NewOptMetrics(reg *Registry) *OptMetrics {
 		EnumerationSeconds: reg.Histogram("lec_opt_enumeration_seconds", "Plan enumeration time per optimization run: total run time minus the sampled costing estimate.", phase),
 		CostingSeconds:     reg.Histogram("lec_opt_costing_seconds", "Cost-formula evaluation time per optimization run, estimated from a fixed-stride sample of pricer calls ((sampled time − clock overhead) × calls / samples).", phase),
 		BucketingSeconds:   reg.Histogram("lec_opt_bucketing_seconds", "Distribution bucketing/convolution time per optimization run (timed in full; part of costing, clamped to at most the costing estimate).", phase),
-		Runs:               reg.Counter("lec_opt_runs_total", "Optimization runs completed."),
+		Runs:               reg.Counter("lec_opt_runs_total", "Engine sessions run: one per optimized block, two per GROUP BY block."),
 		CostEvals:          reg.Counter("lec_opt_cost_evals_total", "Cost-formula evaluations."),
 		Prunes:             reg.Counter("lec_opt_prunes_total", "Candidate plans pruned by the DP."),
 		MemoHits:           reg.Counter("lec_opt_memo_hits_total", "Memo-table hits for subset size distributions."),

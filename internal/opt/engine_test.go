@@ -188,6 +188,11 @@ func TestConfigValidation(t *testing.T) {
 		{"nil coster", Config{}},
 		{"multi × utility", Config{Coster: MultiParams{Mem: dm}, Objective: ExponentialUtility{Gamma: 1e-5}}},
 		{"multi × variance", Config{Coster: MultiParams{Mem: dm}, Objective: VariancePenalized{Lambda: 1}}},
+		{"pool × negative c", Config{Coster: StaticParams{Mem: dm}, Pool: &Pool{TopC: -1}}},
+		{"pool × fixed", Config{Coster: FixedParams{Mem: 500}, Pool: &Pool{}}},
+		{"pool × markov", Config{Coster: MarkovParams{Chain: stats.MustNewChain(dm.Support(), [][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}), Initial: dm}, Pool: &Pool{}}},
+		{"pool × bushy", Config{Space: SpaceBushy, Coster: StaticParams{Mem: dm}, Pool: &Pool{TopC: 2}}},
+		{"pool × utility", Config{Coster: StaticParams{Mem: dm}, Objective: ExponentialUtility{Gamma: 1e-5}, Pool: &Pool{}}},
 	}
 	for _, c := range cases {
 		if _, err := NewOptimizer(cat, q, Options{}, c.cfg); err == nil {
